@@ -340,6 +340,75 @@ fn generator_stream_is_pinned() {
     );
 }
 
+/// FNV-1a 64 over a byte string: the hash the golden pins below use.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in bytes {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Golden pin: the pipeline's outputs are frozen across commits, not
+/// only between two runs of one build. Covers `connect` for every
+/// strategy on the small `families()` instances, `TvcArbitrary` under a
+/// shadowed channel, and one centralized `pack_tree_ordered` schedule.
+/// A refactor that claims "same bits" must leave all three constants
+/// untouched; a deliberate output change updates them in the same
+/// commit.
+#[test]
+fn connect_outputs_are_pinned() {
+    let params = SinrParams::default();
+    let mut all = String::new();
+    for (_, inst) in families(23) {
+        for strategy in Strategy::ALL {
+            all += &fingerprint(&connect(&params, &inst, strategy, 123).unwrap());
+        }
+    }
+    let h = fnv1a(all.as_bytes());
+    assert_eq!(
+        h, 0x58b3_1cf6_b4fc_a031,
+        "connect outputs changed: got fingerprint {h:#018x}"
+    );
+
+    let inst = gen::uniform_square(32, 1.5, 23).unwrap();
+    let shadowed = connect_opts(
+        &params,
+        &inst,
+        Strategy::TvcArbitrary,
+        123,
+        EngineOptions {
+            backend: EngineBackend::Grid,
+            channel: ChannelModel::shadowed(0x5AD, 6.0).unwrap(),
+        },
+    )
+    .unwrap();
+    let h = fnv1a(fingerprint(&shadowed).as_bytes());
+    assert_eq!(
+        h, 0x7e24_fc98_bf6b_417d,
+        "shadowed connect output changed: got fingerprint {h:#018x}"
+    );
+
+    use sinr_connect_suite::geom::mst::mst_parent_array;
+    use sinr_connect_suite::links::InTree;
+    use sinr_connect_suite::phy::{packing, PowerAssignment};
+    let inst = gen::uniform_square(64, 1.5, 5).unwrap();
+    let tree = InTree::from_parents(mst_parent_array(&inst, 0)).unwrap();
+    let power = PowerAssignment::mean_with_margin(&params, inst.delta());
+    let (schedule, unschedulable) = packing::pack_tree_ordered(&params, &inst, &tree, &power);
+    assert!(unschedulable.is_empty());
+    let mut rendered = String::new();
+    for (l, s) in schedule.iter() {
+        let _ = writeln!(rendered, "{}->{} @{}", l.sender, l.receiver, s);
+    }
+    let h = fnv1a(rendered.as_bytes());
+    assert_eq!(
+        h, 0x89cc_9dba_59f0_bb32,
+        "pack_tree_ordered schedule changed: got fingerprint {h:#018x}"
+    );
+}
+
 /// Canonical byte rendering of an ensemble experiment's output: the
 /// aligned text tables *and* their JSON forms, concatenated — the
 /// bytes that end up on terminals and in committed `BENCH_*.json`
