@@ -182,7 +182,7 @@ mod tests {
         let p = params();
         let inst = gen::line(3).unwrap();
         let links = LinkSet::from_links(vec![Link::new(0, 2)]).unwrap(); // length 2
-        let weak = PowerAssignment::uniform(p.noise_floor_power(2.0) * 0.5);
+        let weak = PowerAssignment::uniform(p.noise_floor_power(2.0, 0, 2) * 0.5);
         let (s, bad) =
             first_fit_schedule(&p, &inst, &links, &weak, FirstFitOrder::default(), |_| 0);
         assert_eq!(bad, vec![Link::new(0, 2)]);

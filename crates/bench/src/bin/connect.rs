@@ -33,6 +33,13 @@
 //! the run reports throughput, detection/recovery latency percentiles
 //! and the backpressure counters.
 //!
+//! `--fade <sigma_db>` puts the whole run on a log-normally shadowed
+//! channel (fade streams seeded from `--seed`): build, detection,
+//! repair, join and every audit share it. Repair re-numbers the
+//! surviving nodes, which re-draws their id-keyed fades, so `--serve
+//! --fade` needs `--repack full` and `--churn-kill` is refused under
+//! `--fade`.
+//!
 //! Built with `--features profile`, `--profile` records the engine's
 //! per-phase breakdown of a single run (build / grid / resolve / merge
 //! wall laps, the field's decode phases, and the query counters —
@@ -65,9 +72,7 @@ use sinr_bench::workloads::Family;
 use sinr_connectivity::repair::{repair_after_failures, PriorStructure};
 use sinr_connectivity::selector::MeanSamplingSelector;
 use sinr_connectivity::tvc::TvcConfig;
-use sinr_connectivity::{
-    connect_opts, ChannelModel, EngineBackend, EngineOptions, RepackMode, Strategy,
-};
+use sinr_connectivity::{connect_with, ChannelModel, EngineBackend, RepackMode, Strategy};
 use sinr_phy::{feasibility, SinrParams};
 
 struct Args {
@@ -92,17 +97,6 @@ struct Args {
     snapshot_at: Option<u64>,
     replay_from: Option<PathBuf>,
     diff_engine: Option<EngineBackend>,
-}
-
-impl Args {
-    /// The engine-facing knobs (backend + channel model) every pipeline
-    /// construction site shares.
-    fn engine_opts(&self) -> EngineOptions {
-        EngineOptions {
-            backend: self.engine,
-            channel: self.channel,
-        }
-    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -296,6 +290,23 @@ fn parse_args() -> Result<Args, String> {
                 .into(),
         );
     }
+    if fade.is_some() && churn_kill > 0 {
+        return Err(
+            "--churn-kill does not run under --fade: repair compacts node ids, which \
+             re-draws the id-keyed fade of every surviving link, so the kept links' \
+             powers and slot groupings are no longer certified feasible"
+                .into(),
+        );
+    }
+    if fade.is_some() && serve && repack != RepackMode::Full {
+        return Err(
+            "--serve --fade needs --repack full: repair compacts node ids, which \
+             re-draws the id-keyed fade of every surviving link, so the slot groupings \
+             the incremental and distributed re-packers keep are no longer certified \
+             feasible"
+                .into(),
+        );
+    }
     if n == 0 {
         return Err("--n must be at least 1".into());
     }
@@ -365,7 +376,9 @@ fn main() {
         }
     };
 
-    let params = SinrParams::default();
+    // The one place the channel is set: every pipeline stage below —
+    // build, detection, repair, join, audits — reads it from `params`.
+    let params = SinrParams::default().with_channel(args.channel);
 
     #[cfg(not(feature = "profile"))]
     if args.profile {
@@ -486,13 +499,7 @@ fn main() {
         sinr_sim::profile::start();
     }
 
-    let result = match connect_opts(
-        &params,
-        &instance,
-        args.strategy,
-        args.seed,
-        args.engine_opts(),
-    ) {
+    let result = match connect_with(&params, &instance, args.strategy, args.seed, args.engine) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("connectivity failed: {e}");
@@ -529,12 +536,11 @@ fn main() {
     println!("schedule: {} slots", result.schedule_len);
     println!("runtime:  {} slots", result.runtime_slots);
 
-    match feasibility::validate_schedule_with_model(
+    match feasibility::validate_schedule(
         &params,
         &instance,
         &result.aggregation_schedule,
         &result.power,
-        args.channel,
     ) {
         Ok(()) => println!("validated: every slot SINR-feasible"),
         Err(e) => {
@@ -583,7 +589,7 @@ fn run_serve(args: &Args, params: &SinrParams) {
         join_rate: args.join_rate,
         events: args.serve_events,
         detect: sinr_connectivity::DetectConfig {
-            engine: args.engine_opts(),
+            backend: args.engine,
             ..ServeConfig::default().detect
         },
         repack: args.repack,
@@ -680,7 +686,7 @@ fn run_churn_demo(
     let cfg = TvcConfig {
         repack: args.repack,
         init: sinr_connectivity::init::InitConfig {
-            engine: args.engine_opts(),
+            backend: args.engine,
             ..Default::default()
         },
         ..Default::default()
@@ -726,13 +732,7 @@ fn run_churn_demo(
             rep.repack.protocol_slots, rep.repack.cascade_escalations,
         );
     }
-    match feasibility::validate_schedule_with_model(
-        params,
-        &rep.instance,
-        &rep.schedule,
-        &rep.power,
-        args.channel,
-    ) {
+    match feasibility::validate_schedule(params, &rep.instance, &rep.schedule, &rep.power) {
         Ok(()) => println!(
             "repaired: every slot SINR-feasible ({} slots)",
             rep.schedule.num_slots()
@@ -761,20 +761,13 @@ fn run_ensemble(args: &Args, params: &SinrParams) {
     let driver = Ensemble::new(args.threads);
     let results = driver.run_trials(args.seed, 0, args.seeds, |inst_seed, algo_seed| {
         let instance = args.family.instance(args.n, inst_seed);
-        let result = connect_opts(
-            params,
-            &instance,
-            args.strategy,
-            algo_seed,
-            args.engine_opts(),
-        )
-        .unwrap_or_else(|e| panic!("instance seed {inst_seed:#x}: connectivity failed: {e}"));
-        feasibility::validate_schedule_with_model(
+        let result = connect_with(params, &instance, args.strategy, algo_seed, args.engine)
+            .unwrap_or_else(|e| panic!("instance seed {inst_seed:#x}: connectivity failed: {e}"));
+        feasibility::validate_schedule(
             params,
             &instance,
             &result.aggregation_schedule,
             &result.power,
-            args.channel,
         )
         .unwrap_or_else(|e| panic!("instance seed {inst_seed:#x}: validation failed: {e}"));
         (
@@ -952,11 +945,7 @@ fn run_diff(args: &Args, params: &SinrParams, other: EngineBackend) {
     let instance = args.family.instance(args.n, args.seed);
     let traced_run = |backend: EngineBackend| -> trace::TraceLog {
         trace::start(trace::DEFAULT_CAPACITY);
-        let opts = EngineOptions {
-            backend,
-            channel: args.channel,
-        };
-        let result = connect_opts(params, &instance, args.strategy, args.seed, opts);
+        let result = connect_with(params, &instance, args.strategy, args.seed, backend);
         let log = trace::stop();
         if let Err(e) = result {
             eprintln!("connectivity failed under {}: {e}", backend.label());

@@ -23,10 +23,15 @@
 //! the capability sizes). `--repack full|incremental|distributed`
 //! picks the re-packer whose locality columns the dynamic experiments
 //! report (E13 runs and parity-checks every mode regardless; the flag
-//! selects the reported one). `--fade <sigma_db>` switches every
-//! simulated pipeline to the shadowed channel model (fade streams
-//! seeded from `--seed`); the default geometric channel reproduces the
-//! committed snapshots bit for bit. `--json <path>` additionally writes every executed
+//! selects the reported one; E15's service loop runs it too).
+//! `--fade <sigma_db>` runs E1–E6, E8, E10, E15 and E16a/b on the
+//! shadowed channel model (fade streams seeded from `--seed`), every
+//! stage of each pipeline on the same channel; E16c always compares
+//! the geometric channel with its own shadowed one, and the remaining
+//! experiments run geometric. E15 under `--fade` needs `--repack full`
+//! (repair re-numbers nodes, re-drawing their id-keyed fades). The
+//! default geometric channel reproduces the committed snapshots bit for
+//! bit. `--json <path>` additionally writes every executed
 //! experiment's tables as one machine-readable JSON document — the
 //! format behind the committed `BENCH_*.json` trajectory snapshots.
 
@@ -141,6 +146,16 @@ fn main() {
                 i += 1;
             }
         }
+    }
+    let runs_e15 = wanted.is_empty() || wanted.iter().any(|w| w.as_str() == "e15");
+    if fade.is_some() && runs_e15 && repack != RepackMode::Full {
+        bail(
+            "--fade with E15 needs --repack full: repair compacts node ids, which \
+             re-draws the id-keyed fade of every surviving link, so the slot groupings \
+             the incremental and distributed re-packers keep are no longer certified \
+             feasible"
+                .into(),
+        );
     }
     let channel = match fade {
         Some(sigma) => {

@@ -21,7 +21,6 @@
 use sinr_connectivity::init::{run_init, InitConfig};
 use sinr_connectivity::selector::{DistrCapConfig, DistrCapSelector};
 use sinr_connectivity::tvc::{tree_via_capacity, TvcConfig};
-use sinr_phy::SinrParams;
 
 use crate::ensemble::{trial_streams, Ensemble};
 use crate::stats::Stats;
@@ -36,7 +35,7 @@ const RHO_VALUES: [usize; 4] = [2, 4, 8, 64];
 
 /// Runs E10 and returns one table per ablated knob.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let n = if opts.quick { 64 } else { 128 };
     let seeds = opts.ensemble_seeds();
     let driver = Ensemble::from_opts(opts);

@@ -32,7 +32,6 @@ use crate::stats::Stats;
 use crate::table::{f2, Table};
 use crate::workloads::Family;
 use crate::ExpOptions;
-use sinr_phy::SinrParams;
 
 /// `(n, events)` rungs: larger instances get shorter traces so the
 /// full ladder stays tractable.
@@ -46,7 +45,7 @@ fn ladder(quick: bool) -> &'static [(usize, usize)] {
 
 /// Runs E15.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let seeds = opts.ensemble_seeds();
     let driver = Ensemble::from_opts(opts);
     let specs = ladder(opts.quick);
@@ -61,9 +60,10 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             let cfg = ServeConfig {
                 events,
                 detect: sinr_connectivity::DetectConfig {
-                    engine: opts.engine_options(),
+                    backend: opts.backend,
                     ..ServeConfig::default().detect
                 },
+                repack: opts.repack,
                 ..ServeConfig::default()
             };
             let rep = serve(&params, &inst, &cfg, algo_seed)

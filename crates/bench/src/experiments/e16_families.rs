@@ -24,8 +24,7 @@
 //! [`crate::ensemble`] dispatch (`--seeds K`, `mean ±95% CI` cells),
 //! byte-identical at any `--threads` count.
 
-use sinr_connectivity::{connect_opts, ChannelModel, EngineOptions, Strategy};
-use sinr_phy::SinrParams;
+use sinr_connectivity::{connect_with, ChannelModel, Strategy};
 
 use crate::ensemble::Ensemble;
 use crate::stats::Stats;
@@ -39,7 +38,7 @@ const SIGMA_DB: f64 = 6.0;
 
 /// Runs E16 and returns tables E16a, E16b and E16c.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let seeds = opts.ensemble_seeds();
     let driver = Ensemble::from_opts(opts);
 
@@ -61,12 +60,12 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
         if row < a_specs.len() {
             let (family, n) = a_specs[row];
             let inst = family.instance(n, inst_seed);
-            let out = connect_opts(
+            let out = connect_with(
                 &params,
                 &inst,
                 Strategy::TvcArbitrary,
                 algo_seed,
-                opts.engine_options(),
+                opts.backend,
             )
             .expect("connect converges");
             let log_n = (inst.len() as f64).log2().max(1.0);
@@ -78,12 +77,12 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             )
         } else if row < a_specs.len() + b_specs.len() {
             let (_, inst) = &b_specs[row - a_specs.len()];
-            let out = connect_opts(
+            let out = connect_with(
                 &params,
                 inst,
                 Strategy::TvcArbitrary,
                 algo_seed,
-                opts.engine_options(),
+                opts.backend,
             )
             .expect("connect converges");
             let log_n = (inst.len() as f64).log2().max(1.0);
@@ -96,26 +95,25 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
         } else {
             let n = c_specs[row - a_specs.len() - b_specs.len()];
             let inst = Family::UniformSquare.instance(n, inst_seed);
-            let geo = connect_opts(
-                &params,
+            let geometric = params.with_channel(ChannelModel::Geometric);
+            let geo = connect_with(
+                &geometric,
                 &inst,
                 Strategy::TvcArbitrary,
                 algo_seed,
-                EngineOptions::with_backend(opts.backend),
+                opts.backend,
             )
             .expect("connect converges");
             // Fade streams derive from the trial's instance seed, so
             // the ensemble averages over shadowing realizations too.
-            let shadowed = ChannelModel::shadowed(inst_seed, SIGMA_DB).expect("valid sigma");
-            let shad = connect_opts(
-                &params,
+            let shadowed = params
+                .with_channel(ChannelModel::shadowed(inst_seed, SIGMA_DB).expect("valid sigma"));
+            let shad = connect_with(
+                &shadowed,
                 &inst,
                 Strategy::TvcArbitrary,
                 algo_seed,
-                EngineOptions {
-                    backend: opts.backend,
-                    channel: shadowed,
-                },
+                opts.backend,
             )
             .expect("connect converges under fades");
             (

@@ -8,7 +8,6 @@
 
 use sinr_connectivity::init::run_init;
 use sinr_links::{sparsity, LinkSet};
-use sinr_phy::SinrParams;
 
 use crate::ensemble::Ensemble;
 use crate::stats::Stats;
@@ -19,7 +18,7 @@ use crate::ExpOptions;
 /// Runs E3, reporting the degree-capped subtree at two caps (the TVC
 /// default ρ = 8 and an aggressive ρ = 4 that actually prunes).
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let cfg = opts.init_config();
     let seeds = opts.ensemble_seeds();
     let driver = Ensemble::from_opts(opts);

@@ -13,7 +13,7 @@ use sinr_baselines::first_fit::{first_fit_schedule, FirstFitOrder};
 use sinr_connectivity::contention::ContentionConfig;
 use sinr_connectivity::init::run_init;
 use sinr_connectivity::reschedule::reschedule_mean;
-use sinr_phy::{PowerAssignment, SinrParams};
+use sinr_phy::PowerAssignment;
 
 use crate::ensemble::Ensemble;
 use crate::stats::Stats;
@@ -23,7 +23,7 @@ use crate::ExpOptions;
 
 /// Runs E4 and returns tables E4a (vs n) and E4b (vs Δ).
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let seeds = opts.ensemble_seeds();
     let driver = Ensemble::from_opts(opts);
 
@@ -36,7 +36,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             inst,
             &links,
             &ContentionConfig {
-                engine: opts.engine_options(),
+                backend: opts.backend,
                 ..Default::default()
             },
             seed.wrapping_add(17),

@@ -9,7 +9,6 @@
 
 use sinr_connectivity::selector::DistrCapSelector;
 use sinr_connectivity::tvc::{tree_via_capacity, TvcConfig};
-use sinr_phy::SinrParams;
 
 use crate::ensemble::Ensemble;
 use crate::stats::Stats;
@@ -19,7 +18,7 @@ use crate::ExpOptions;
 
 /// Runs E6.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let seeds = opts.ensemble_seeds();
     let driver = Ensemble::from_opts(opts);
 

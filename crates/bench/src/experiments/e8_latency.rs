@@ -14,7 +14,6 @@ use rand::{Rng, SeedableRng};
 use sinr_connectivity::latency::audit_bitree;
 use sinr_connectivity::selector::DistrCapSelector;
 use sinr_connectivity::tvc::{tree_via_capacity, TvcConfig};
-use sinr_phy::SinrParams;
 
 use crate::ensemble::{stream_seed, trial_streams, Ensemble};
 use crate::stats::Stats;
@@ -24,7 +23,7 @@ use crate::ExpOptions;
 
 /// Runs E8.
 pub fn run(opts: &ExpOptions) -> Vec<Table> {
-    let params = SinrParams::default();
+    let params = opts.params();
     let seeds = opts.ensemble_seeds();
     let driver = Ensemble::from_opts(opts);
 

@@ -53,7 +53,8 @@ pub mod table;
 pub mod workloads;
 
 use sinr_connectivity::init::InitConfig;
-pub use sinr_connectivity::{ChannelModel, EngineBackend, EngineOptions, RepackMode, Shadowing};
+pub use sinr_connectivity::{ChannelModel, EngineBackend, RepackMode, Shadowing};
+use sinr_phy::SinrParams;
 
 /// Shared experiment options.
 #[derive(Clone, Copy, Debug)]
@@ -86,9 +87,12 @@ pub struct ExpOptions {
     /// its parity asserts; this picks which one the `repacked frac` /
     /// `pack ms` columns report.
     pub repack: RepackMode,
-    /// Channel model for every simulated pipeline (`--fade <sigma_db>`
+    /// Channel model of [`params`](Self::params) (`--fade <sigma_db>`
     /// on the runners selects a shadowed channel; the default Geometric
-    /// model reproduces the historical outputs bit for bit).
+    /// model reproduces the historical outputs bit for bit). E1–E6, E8,
+    /// E10, E15 and E16a/b run on it; E16c always compares geometric
+    /// against its own shadowed channel; the other experiments run the
+    /// geometric channel.
     pub channel: ChannelModel,
 }
 
@@ -141,19 +145,16 @@ impl ExpOptions {
         }
     }
 
-    /// The selected engine-facing knobs (backend + channel model).
-    pub fn engine_options(&self) -> EngineOptions {
-        EngineOptions {
-            backend: self.backend,
-            channel: self.channel,
-        }
+    /// The workspace-default SINR parameters under the selected channel
+    /// model — what every channel-aware experiment runs on.
+    pub fn params(&self) -> SinrParams {
+        SinrParams::default().with_channel(self.channel)
     }
 
-    /// An [`InitConfig`] honoring the selected engine backend and
-    /// channel model.
+    /// An [`InitConfig`] honoring the selected engine backend.
     pub fn init_config(&self) -> InitConfig {
         InitConfig {
-            engine: self.engine_options(),
+            backend: self.backend,
             ..Default::default()
         }
     }

@@ -32,6 +32,15 @@
 //! crashes would sit as undetected ghosts rather than exercise the
 //! recovery path this experiment measures.
 //!
+//! **Channel.** Every stage — base structure, detector, repair, join
+//! and the audits — runs on the channel `params` carries. Under a
+//! shadowed channel the loop requires [`RepackMode::Full`]: repair
+//! compacts node ids, which re-draws the id-keyed fade of every
+//! surviving link, so the slot groupings the incremental and
+//! distributed re-packers keep are no longer certified feasible. The
+//! full re-pack re-audits every grouping, and the loop's mean-margin
+//! powers already cover the deepest fade.
+//!
 //! **Determinism.** Arrival gaps, event kinds, victims and join points
 //! all derive from SplitMix64 streams split off the single serve seed
 //! ([`faults::stream_seed`]); the engine-backed detector is
@@ -359,6 +368,14 @@ pub fn serve(
             "serve: the loop needs at least 8 nodes, got {}",
             inst.len()
         ));
+    }
+
+    if !params.channel().is_geometric() && cfg.repack != RepackMode::Full {
+        return Err(
+            "serve: a shadowed channel needs RepackMode::Full (repair compacts node ids, \
+             which re-draws the fades the kept slot groupings were certified under)"
+                .into(),
+        );
     }
 
     let start = std::time::Instant::now();
@@ -799,6 +816,35 @@ mod tests {
         }
     }
 
+    /// The whole loop — base structure, detector, repair, join and
+    /// every audit — runs on the channel `params` carries, so a
+    /// shadowed run is one consistent channel end to end: detector
+    /// coverage stays exact and every recovery passes its audit. The
+    /// kept-grouping re-packers are refused up front.
+    #[test]
+    fn serve_audits_every_recovery_under_shadowing() {
+        let params = SinrParams::default()
+            .with_channel(sinr_connectivity::ChannelModel::shadowed(7, 6.0).unwrap());
+        let inst = Family::UniformSquare.instance(96, 7);
+        let cfg = ServeConfig {
+            repack: RepackMode::Full,
+            ..quick_cfg(6)
+        };
+        let rep = serve(&params, &inst, &cfg, 11).unwrap();
+        assert_eq!(rep.events, 6);
+        assert_eq!(rep.skipped_faults, 0);
+        assert_eq!(rep.detection_slots.len(), rep.faults);
+        assert!(rep.audits >= rep.batches);
+        for mode in [RepackMode::Incremental, RepackMode::Distributed] {
+            let cfg = ServeConfig {
+                repack: mode,
+                ..quick_cfg(6)
+            };
+            let err = serve(&params, &inst, &cfg, 11).unwrap_err();
+            assert!(err.contains("RepackMode::Full"), "{mode:?}: {err}");
+        }
+    }
+
     #[test]
     fn serve_is_deterministic_and_backend_invariant() {
         let params = SinrParams::default();
@@ -809,9 +855,7 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint(), "repeated run diverged");
         let naive = ServeConfig {
             detect: DetectConfig {
-                engine: sinr_connectivity::EngineOptions::with_backend(
-                    sinr_connectivity::EngineBackend::Naive,
-                ),
+                backend: sinr_connectivity::EngineBackend::Naive,
                 ..cfg.detect
             },
             ..cfg

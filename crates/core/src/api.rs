@@ -3,7 +3,7 @@
 use sinr_geom::Instance;
 use sinr_links::{BiTree, LinkSet, Schedule};
 use sinr_phy::{PowerAssignment, SinrParams};
-use sinr_sim::{EngineBackend, EngineOptions};
+use sinr_sim::EngineBackend;
 
 use crate::contention::ContentionConfig;
 use crate::init::{run_init, InitConfig};
@@ -81,7 +81,8 @@ pub struct ConnectivityResult {
     pub runtime_slots: u64,
 }
 
-/// Runs the selected strategy end to end on `instance`.
+/// Runs the selected strategy end to end on `instance`, under the
+/// channel model `params` carries.
 ///
 /// This is the quickstart entry point; each pipeline stage is also
 /// available directly (with its config) in the corresponding module.
@@ -94,7 +95,7 @@ pub struct ConnectivityResult {
 /// # Example
 ///
 /// ```
-/// use sinr_connectivity::{connect, Strategy};
+/// use sinr_connectivity::{connect, ChannelModel, Strategy};
 /// use sinr_geom::gen;
 /// use sinr_phy::SinrParams;
 ///
@@ -103,6 +104,9 @@ pub struct ConnectivityResult {
 /// let fast = connect(&params, &inst, Strategy::TvcArbitrary, 1)?;
 /// let base = connect(&params, &inst, Strategy::InitOnly, 1)?;
 /// assert!(fast.schedule_len <= base.schedule_len);
+/// // The same pipeline under per-link log-normal fades.
+/// let faded = params.with_channel(ChannelModel::shadowed(9, 6.0)?);
+/// assert!(connect(&faded, &inst, Strategy::TvcArbitrary, 1)?.schedule_len > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn connect(
@@ -116,7 +120,7 @@ pub fn connect(
 
 /// [`connect`] with an explicit simulation-engine backend.
 ///
-/// The two backends are bit-identical in every observable output (the
+/// The backends are bit-identical in every observable output (the
 /// determinism parity gate in `tests/determinism.rs` enforces it);
 /// `Naive` exists so regressions and benchmarks can reproduce the
 /// all-pairs reference from the command line (`connect --engine
@@ -128,28 +132,8 @@ pub fn connect_with(
     seed: u64,
     backend: EngineBackend,
 ) -> Result<ConnectivityResult> {
-    connect_opts(
-        params,
-        instance,
-        strategy,
-        seed,
-        EngineOptions::with_backend(backend),
-    )
-}
-
-/// [`connect`] with explicit [`EngineOptions`] — backend plus channel
-/// model. The Geometric channel reproduces [`connect_with`] bit for
-/// bit; a Shadowed channel runs the same pipeline under deterministic
-/// per-link log-normal fades.
-pub fn connect_opts(
-    params: &SinrParams,
-    instance: &Instance,
-    strategy: Strategy,
-    seed: u64,
-    engine: EngineOptions,
-) -> Result<ConnectivityResult> {
     let init_cfg = InitConfig {
-        engine,
+        backend,
         ..Default::default()
     };
     match strategy {
@@ -176,7 +160,7 @@ pub fn connect_opts(
                 instance,
                 &links,
                 &ContentionConfig {
-                    engine,
+                    backend,
                     ..Default::default()
                 },
                 seed.wrapping_add(0x51ed),

@@ -51,7 +51,7 @@ use rand::rngs::StdRng;
 use sinr_geom::{Instance, NodeId};
 use sinr_links::Link;
 use sinr_phy::SinrParams;
-use sinr_sim::{Action, Engine, EngineOptions, FaultPlan, Protocol, SlotOutcome};
+use sinr_sim::{Action, Engine, EngineBackend, FaultPlan, Protocol, SlotOutcome};
 
 use crate::repair::PriorStructure;
 use crate::{CoreError, Result};
@@ -67,9 +67,9 @@ pub struct DetectConfig {
     pub max_backoff_exp: u32,
     /// Heartbeat cycles to run (one cycle = `2 ×` schedule slots).
     pub max_rounds: u64,
-    /// Engine-facing knobs (backend + propagation model) for the
-    /// detection engine.
-    pub engine: EngineOptions,
+    /// Backend of the detection engine (the propagation model is the
+    /// one `params` carries).
+    pub backend: EngineBackend,
 }
 
 impl Default for DetectConfig {
@@ -78,7 +78,7 @@ impl Default for DetectConfig {
             miss_threshold: 3,
             max_backoff_exp: 2,
             max_rounds: 12,
-            engine: EngineOptions::default(),
+            backend: EngineBackend::default(),
         }
     }
 }
@@ -368,12 +368,12 @@ pub fn detect_failures(
         *entry = Some(entry.map_or(down_power, |prev: f64| prev.max(down_power)));
     }
 
-    let mut engine = Engine::with_options(
+    let mut engine = Engine::with_backend(
         params,
         instance,
         |id| templates[id].clone(),
         seed,
-        cfg.engine,
+        cfg.backend,
     );
     engine.arm_faults(plan.clone());
     let slots = cfg.max_rounds * 2 * half as u64;
@@ -590,12 +590,11 @@ mod tests {
         );
         let run = |backend| {
             let cfg = DetectConfig {
-                engine: EngineOptions::with_backend(backend),
+                backend,
                 ..DetectConfig::default()
             };
             detect_failures(&params, &inst, &prior, &plan, &cfg, 7).unwrap()
         };
-        use sinr_sim::EngineBackend;
         let naive = run(EngineBackend::Naive);
         assert_eq!(naive, run(EngineBackend::Grid), "naive vs grid");
         assert_eq!(naive, run(EngineBackend::Parallel(2)), "vs parallel(2)");

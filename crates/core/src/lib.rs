@@ -49,13 +49,13 @@ pub mod reschedule;
 pub mod selector;
 pub mod tvc;
 
-pub use api::{connect, connect_opts, connect_with, ConnectivityResult, Strategy};
+pub use api::{connect, connect_with, ConnectivityResult, Strategy};
 pub use detect::{detect_failures, DetectConfig, Detection, DetectionReport};
 pub use error::CoreError;
 pub use repack::{RepackMode, RepackStats};
 pub use repair::PriorStructure;
 pub use sinr_phy::{ChannelModel, Shadowing};
-pub use sinr_sim::{EngineBackend, EngineOptions};
+pub use sinr_sim::EngineBackend;
 
 /// Convenience result alias for fallible connectivity operations.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -39,7 +39,7 @@ use sinr_geom::{Instance, NodeId};
 use sinr_links::{BiTree, InTree, Link, LinkSet, Schedule, ScheduleDelta};
 use sinr_phy::{PowerAssignment, SinrParams};
 
-use crate::repack::{repack_tree_with_model, RepackStats};
+use crate::repack::{repack_tree, RepackStats};
 use crate::selector::SubsetSelector;
 use crate::tvc::{extend_forest, TvcConfig};
 use crate::{CoreError, Result};
@@ -248,13 +248,12 @@ pub(crate) fn complete_and_pack(
     let power = PowerAssignment::explicit(powers)?;
 
     let tree = InTree::from_parents(ext.parents)?;
-    let model = cfg.init.engine.channel;
-    let out = repack_tree_with_model(params, instance, model, &tree, &power, &delta, cfg.repack);
+    let out = repack_tree(params, instance, &tree, &power, &delta, cfg.repack);
     if let Some(&l) = out.unschedulable.first() {
         return Err(CoreError::Phy(sinr_phy::PhyError::PowerBelowNoiseFloor {
             link: l,
             power: power.power_of(l, instance, params).unwrap_or(0.0),
-            required: model.noise_floor_power(params, l.length(instance), l.sender, l.receiver),
+            required: params.noise_floor_power(l.length(instance), l.sender, l.receiver),
         }));
     }
     let bitree = BiTree::new(tree.clone(), out.schedule.clone())?;

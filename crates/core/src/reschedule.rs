@@ -51,8 +51,7 @@ pub fn reschedule_mean(
     cfg: &ContentionConfig,
     seed: u64,
 ) -> Result<RescheduleOutcome> {
-    let power =
-        PowerAssignment::mean_with_margin_model(params, &cfg.engine.channel, instance.delta());
+    let power = PowerAssignment::mean_with_margin(params, instance.delta());
     let agg = schedule_distributed(params, instance, aggregation_links, &power, cfg, seed)?;
     let dual_links = aggregation_links.dual();
     let dis = schedule_distributed(

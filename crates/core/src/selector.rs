@@ -27,9 +27,9 @@ use rand::Rng;
 use sinr_geom::{Instance, NodeId};
 use sinr_links::{Link, LinkSet};
 use sinr_phy::field::InterferenceField;
-use sinr_phy::{upsilon, ChannelModel, PowerAssignment, SinrParams};
+use sinr_phy::{upsilon, PowerAssignment, SinrParams};
 
-use crate::power_control::{make_feasible_with_model, PowerControlConfig};
+use crate::power_control::{make_feasible, PowerControlConfig};
 use crate::{CoreError, Result};
 
 /// The subset a selector chose, with the powers that make it feasible
@@ -50,7 +50,8 @@ pub struct SelectorOutcome {
 /// Algorithm 1).
 pub trait SubsetSelector: std::fmt::Debug {
     /// Selects a feasible subset of `candidates` (aggregation links
-    /// between currently-active nodes).
+    /// between currently-active nodes), under the channel `params`
+    /// carries.
     ///
     /// # Errors
     ///
@@ -60,7 +61,6 @@ pub trait SubsetSelector: std::fmt::Debug {
         &mut self,
         params: &SinrParams,
         instance: &Instance,
-        model: ChannelModel,
         candidates: &LinkSet,
         rng: &mut StdRng,
     ) -> Result<SelectorOutcome>;
@@ -87,19 +87,12 @@ pub trait SubsetSelector: std::fmt::Debug {
 pub(crate) fn resolve_probe_slot(
     params: &SinrParams,
     instance: &Instance,
-    model: ChannelModel,
     transmitters: &[(NodeId, f64)],
     probes: &[(Link, f64)],
     threshold: f64,
 ) -> Vec<Link> {
     let tx_nodes: HashSet<NodeId> = transmitters.iter().map(|&(u, _)| u).collect();
-    let field = InterferenceField::build_with_model(
-        params,
-        model,
-        instance,
-        transmitters,
-        Default::default(),
-    );
+    let field = InterferenceField::build(params, instance, transmitters);
     let mut ok = Vec::new();
     for &(link, power) in probes {
         if tx_nodes.contains(&link.receiver) {
@@ -173,7 +166,6 @@ impl SubsetSelector for MeanSamplingSelector {
         &mut self,
         params: &SinrParams,
         instance: &Instance,
-        model: ChannelModel,
         candidates: &LinkSet,
         rng: &mut StdRng,
     ) -> Result<SelectorOutcome> {
@@ -193,7 +185,7 @@ impl SubsetSelector for MeanSamplingSelector {
         let ups = upsilon(instance.len(), instance.delta());
         let q = (1.0 / (4.0 * self.config.gamma1 * ups)).clamp(self.config.min_prob.min(1.0), 1.0);
 
-        let power = PowerAssignment::mean_with_margin_model(params, &model, instance.delta());
+        let power = PowerAssignment::mean_with_margin(params, instance.delta());
 
         // Data slot: sampled senders transmit under mean power.
         let sampled: Vec<Link> = candidates.iter().filter(|_| rng.gen_bool(q)).collect();
@@ -203,7 +195,7 @@ impl SubsetSelector for MeanSamplingSelector {
             .collect::<Result<_>>()?;
         let tx_a: Vec<(NodeId, f64)> = data_probes.iter().map(|&(l, p)| (l.sender, p)).collect();
         // Success = decodable, i.e. affectance ≤ 1 (§5 equivalence).
-        let q_tilde = resolve_probe_slot(params, instance, model, &tx_a, &data_probes, 1.0);
+        let q_tilde = resolve_probe_slot(params, instance, &tx_a, &data_probes, 1.0);
 
         // Ack slot: receivers of the successful links answer over duals.
         let ack_probes: Vec<(Link, f64)> = q_tilde
@@ -211,7 +203,7 @@ impl SubsetSelector for MeanSamplingSelector {
             .map(|&l| Ok((l.dual(), power.power_of(l.dual(), instance, params)?)))
             .collect::<Result<_>>()?;
         let tx_b: Vec<(NodeId, f64)> = ack_probes.iter().map(|&(l, p)| (l.sender, p)).collect();
-        let acked_duals = resolve_probe_slot(params, instance, model, &tx_b, &ack_probes, 1.0);
+        let acked_duals = resolve_probe_slot(params, instance, &tx_b, &ack_probes, 1.0);
 
         let chosen: LinkSet = acked_duals.iter().map(|d| d.dual()).collect();
         // Both directions succeeded simultaneously under mean power (data
@@ -296,7 +288,6 @@ impl SubsetSelector for DistrCapSelector {
         &mut self,
         params: &SinrParams,
         instance: &Instance,
-        model: ChannelModel,
         candidates: &LinkSet,
         rng: &mut StdRng,
     ) -> Result<SelectorOutcome> {
@@ -327,7 +318,7 @@ impl SubsetSelector for DistrCapSelector {
             });
         }
 
-        let linear = PowerAssignment::linear_with_margin_model(params, &model);
+        let linear = PowerAssignment::linear_with_margin(params);
         let lin_power = |l: Link| linear.power_of(l, instance, params);
 
         let mut selected = LinkSet::new();
@@ -368,8 +359,7 @@ impl SubsetSelector for DistrCapSelector {
                     .map(|&l| Ok((l, lin_power(l)?)))
                     .collect::<Result<_>>()?;
                 tx_a.extend(probes_a.iter().map(|&(l, p)| (l.sender, p)));
-                let q_tilde =
-                    resolve_probe_slot(params, instance, model, &tx_a, &probes_a, cfg.tau / 4.0);
+                let q_tilde = resolve_probe_slot(params, instance, &tx_a, &probes_a, cfg.tau / 4.0);
 
                 // Slot B: duals of T' and (sub-sampled) duals of Q̃, at
                 // the tightened threshold γ₂τ/4.
@@ -393,7 +383,6 @@ impl SubsetSelector for DistrCapSelector {
                 let ok_duals = resolve_probe_slot(
                     params,
                     instance,
-                    model,
                     &tx_b,
                     &probes_b,
                     cfg.gamma2 * cfg.tau / 4.0,
@@ -414,12 +403,10 @@ impl SubsetSelector for DistrCapSelector {
         // direction: Lemma 18), so Foschini–Miljanic converges on both.
         // The dropping fallback never fires with the default thresholds
         // (tracked in `total_dropped`).
-        let fm_fwd =
-            make_feasible_with_model(params, instance, model, &selected, &cfg.power_control);
+        let fm_fwd = make_feasible(params, instance, &selected, &cfg.power_control);
         self.total_dropped += fm_fwd.dropped.len();
         let mut chosen = fm_fwd.links;
-        let fm_dual =
-            make_feasible_with_model(params, instance, model, &chosen.dual(), &cfg.power_control);
+        let fm_dual = make_feasible(params, instance, &chosen.dual(), &cfg.power_control);
         self.total_dropped += fm_dual.dropped.len();
         if !fm_dual.dropped.is_empty() {
             // A link whose dual cannot be powered leaves the selection;
@@ -489,8 +476,7 @@ mod tests {
             let calc = AffectanceCalc::new(&p, &inst);
             let tx_nodes: HashSet<NodeId> = tx.iter().map(|&(u, _)| u).collect();
             for threshold in [0.2, 1.0] {
-                let fast =
-                    resolve_probe_slot(&p, &inst, ChannelModel::Geometric, &tx, &probes, threshold);
+                let fast = resolve_probe_slot(&p, &inst, &tx, &probes, threshold);
                 let mut reference = Vec::new();
                 for &(link, pw) in &probes {
                     if tx_nodes.contains(&link.receiver) {
@@ -518,9 +504,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut total = 0;
         for round in 0..20 {
-            let out = sel
-                .select(&p, &inst, ChannelModel::Geometric, &candidates, &mut rng)
-                .unwrap();
+            let out = sel.select(&p, &inst, &candidates, &mut rng).unwrap();
             total += out.chosen.len();
             if !out.chosen.is_empty() {
                 let pa = PowerAssignment::explicit(out.powers).unwrap();
@@ -540,15 +524,7 @@ mod tests {
         let inst = gen::line(4).unwrap();
         let mut sel = MeanSamplingSelector::default();
         let mut rng = StdRng::seed_from_u64(0);
-        let out = sel
-            .select(
-                &p,
-                &inst,
-                ChannelModel::Geometric,
-                &LinkSet::new(),
-                &mut rng,
-            )
-            .unwrap();
+        let out = sel.select(&p, &inst, &LinkSet::new(), &mut rng).unwrap();
         assert!(out.chosen.is_empty());
         assert_eq!(out.slots_used, 0);
     }
@@ -562,9 +538,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut total = 0;
         for round in 0..10 {
-            let out = sel
-                .select(&p, &inst, ChannelModel::Geometric, &candidates, &mut rng)
-                .unwrap();
+            let out = sel.select(&p, &inst, &candidates, &mut rng).unwrap();
             total += out.chosen.len();
             if !out.chosen.is_empty() {
                 let pa = PowerAssignment::explicit(out.powers.clone()).unwrap();
@@ -585,9 +559,7 @@ mod tests {
         let mut sel = DistrCapSelector::default();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..10 {
-            let out = sel
-                .select(&p, &inst, ChannelModel::Geometric, &candidates, &mut rng)
-                .unwrap();
+            let out = sel.select(&p, &inst, &candidates, &mut rng).unwrap();
             let mut nodes = std::collections::HashSet::new();
             for l in out.chosen.iter() {
                 assert!(nodes.insert(l.sender), "sender reused: {l:?}");
@@ -607,9 +579,7 @@ mod tests {
             gamma1: 0.0,
             min_prob: 0.01,
         });
-        assert!(bad_mean
-            .select(&p, &inst, ChannelModel::Geometric, &candidates, &mut rng)
-            .is_err());
+        assert!(bad_mean.select(&p, &inst, &candidates, &mut rng).is_err());
 
         for cfg in [
             DistrCapConfig {
@@ -626,9 +596,7 @@ mod tests {
             },
         ] {
             let mut bad = DistrCapSelector::new(cfg);
-            assert!(bad
-                .select(&p, &inst, ChannelModel::Geometric, &candidates, &mut rng)
-                .is_err());
+            assert!(bad.select(&p, &inst, &candidates, &mut rng).is_err());
         }
     }
 

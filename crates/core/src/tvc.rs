@@ -192,7 +192,7 @@ fn run_selection_loop(
             chosen,
             powers: slot_powers,
             slots_used,
-        } = selector.select(params, instance, cfg.init.engine.channel, &capped, &mut rng)?;
+        } = selector.select(params, instance, &capped, &mut rng)?;
         runtime_slots += slots_used;
 
         trace.push(TvcIteration {

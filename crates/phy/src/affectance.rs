@@ -21,7 +21,7 @@
 use sinr_geom::{Instance, NodeId};
 use sinr_links::{Link, LinkSet};
 
-use crate::{ChannelModel, PhyError, PowerAssignment, Result, SinrParams};
+use crate::{PhyError, PowerAssignment, Result, SinrParams};
 
 /// Affectance and SINR computations over one instance.
 ///
@@ -48,34 +48,13 @@ use crate::{ChannelModel, PhyError, PowerAssignment, Result, SinrParams};
 pub struct AffectanceCalc<'a> {
     params: &'a SinrParams,
     instance: &'a Instance,
-    model: ChannelModel,
 }
 
 impl<'a> AffectanceCalc<'a> {
-    /// Creates a calculator for `instance` under `params` on the clean
-    /// geometric channel (the paper's model; bit-identical legacy
-    /// behavior).
+    /// Creates a calculator for `instance` under `params` (gains under
+    /// the params' channel model).
     pub fn new(params: &'a SinrParams, instance: &'a Instance) -> Self {
-        AffectanceCalc {
-            params,
-            instance,
-            model: ChannelModel::Geometric,
-        }
-    }
-
-    /// Creates a calculator whose gains go through `model`. With
-    /// [`ChannelModel::Geometric`] this is exactly [`new`](Self::new).
-    pub fn with_model(params: &'a SinrParams, instance: &'a Instance, model: ChannelModel) -> Self {
-        AffectanceCalc {
-            params,
-            instance,
-            model,
-        }
-    }
-
-    /// The channel model this calculator computes gains under.
-    pub fn model(&self) -> ChannelModel {
-        self.model
+        AffectanceCalc { params, instance }
     }
 
     /// The noise factor `c(u, v) = β / (1 − βN / (P_u·g(u,v)))`, which
@@ -88,9 +67,7 @@ impl<'a> AffectanceCalc<'a> {
     /// (the link cannot succeed even without interference).
     pub fn noise_factor(&self, link: Link, link_power: f64) -> Result<f64> {
         let d = link.length(self.instance);
-        let floor = self
-            .model
-            .noise_floor_power(self.params, d, link.sender, link.receiver);
+        let floor = self.params.noise_floor_power(d, link.sender, link.receiver);
         if link_power <= floor {
             return Err(PhyError::PowerBelowNoiseFloor {
                 link,
@@ -142,18 +119,13 @@ impl<'a> AffectanceCalc<'a> {
             // Interferer co-located with the receiver: unbounded term.
             return clip;
         }
-        let raw = match &self.model {
-            ChannelModel::Geometric => {
-                c * (w_power / link_power) * (d_uv / d_wv).powf(self.params.alpha())
-            }
-            // General gains: the distance ratio picks up the fade ratio
-            // `f(w,v) / f(u,v)` of the interfering and signal paths.
-            ChannelModel::Shadowed(s) => {
-                c * ((w_power * s.fade(w, link.receiver))
-                    / (link_power * s.fade(link.sender, link.receiver)))
-                    * (d_uv / d_wv).powf(self.params.alpha())
-            }
-        };
+        // The distance ratio picks up the fade ratio `f(w,v) / f(u,v)`
+        // of the interfering and signal paths (both 1 when geometric).
+        let fade = |a, b| self.params.channel().fade(a, b);
+        let raw = c
+            * ((w_power * fade(w, link.receiver))
+                / (link_power * fade(link.sender, link.receiver)))
+            * (d_uv / d_wv).powf(self.params.alpha());
         raw.min(clip)
     }
 
@@ -187,39 +159,22 @@ impl<'a> AffectanceCalc<'a> {
         let d_uv = link.length(self.instance);
         let clip = 1.0 + self.params.epsilon();
         let alpha = self.params.alpha();
+        let channel = self.params.channel();
+        // Loop-invariant signal-path term (the fade is 1 when geometric).
+        let denom = link_power * channel.fade(link.sender, link.receiver);
         let mut total = 0.0;
-        match &self.model {
-            ChannelModel::Geometric => {
-                for &(w, pw) in senders {
-                    if w == link.sender {
-                        continue;
-                    }
-                    let d_wv = self.instance.distance(w, link.receiver);
-                    total += if d_wv == 0.0 {
-                        // Interferer co-located with the receiver: unbounded.
-                        clip
-                    } else {
-                        (c * (pw / link_power) * (d_uv / d_wv).powf(alpha)).min(clip)
-                    };
-                }
+        for &(w, pw) in senders {
+            if w == link.sender {
+                continue;
             }
-            ChannelModel::Shadowed(s) => {
-                // Loop-invariant signal-path fade, mirroring the hoisted
-                // geometric form above.
-                let denom = link_power * s.fade(link.sender, link.receiver);
-                for &(w, pw) in senders {
-                    if w == link.sender {
-                        continue;
-                    }
-                    let d_wv = self.instance.distance(w, link.receiver);
-                    total += if d_wv == 0.0 {
-                        clip
-                    } else {
-                        (c * ((pw * s.fade(w, link.receiver)) / denom) * (d_uv / d_wv).powf(alpha))
-                            .min(clip)
-                    };
-                }
-            }
+            let d_wv = self.instance.distance(w, link.receiver);
+            total += if d_wv == 0.0 {
+                // Interferer co-located with the receiver: unbounded.
+                clip
+            } else {
+                (c * ((pw * channel.fade(w, link.receiver)) / denom) * (d_uv / d_wv).powf(alpha))
+                    .min(clip)
+            };
         }
         Ok(total)
     }
@@ -261,39 +216,21 @@ impl<'a> AffectanceCalc<'a> {
     /// feasibility checker) must handle a transmitting receiver.
     pub fn sinr(&self, link: Link, link_power: f64, interferers: &[(NodeId, f64)]) -> f64 {
         let d = link.length(self.instance);
-        match &self.model {
-            ChannelModel::Geometric => {
-                let signal = link_power * self.params.path_gain(d);
-                let mut interference = 0.0;
-                for &(w, pw) in interferers {
-                    if w == link.sender {
-                        continue;
-                    }
-                    let dwv = self.instance.distance(w, link.receiver);
-                    if dwv == 0.0 {
-                        return 0.0;
-                    }
-                    interference += pw * self.params.path_gain(dwv);
-                }
-                signal / (self.params.noise() + interference)
+        let channel = self.params.channel();
+        let signal =
+            link_power * self.params.path_gain(d) * channel.fade(link.sender, link.receiver);
+        let mut interference = 0.0;
+        for &(w, pw) in interferers {
+            if w == link.sender {
+                continue;
             }
-            ChannelModel::Shadowed(s) => {
-                let signal =
-                    link_power * self.params.path_gain(d) * s.fade(link.sender, link.receiver);
-                let mut interference = 0.0;
-                for &(w, pw) in interferers {
-                    if w == link.sender {
-                        continue;
-                    }
-                    let dwv = self.instance.distance(w, link.receiver);
-                    if dwv == 0.0 {
-                        return 0.0;
-                    }
-                    interference += pw * self.params.path_gain(dwv) * s.fade(w, link.receiver);
-                }
-                signal / (self.params.noise() + interference)
+            let dwv = self.instance.distance(w, link.receiver);
+            if dwv == 0.0 {
+                return 0.0;
             }
+            interference += pw * self.params.path_gain(dwv) * channel.fade(w, link.receiver);
         }
+        signal / (self.params.noise() + interference)
     }
 
     /// The amenability term of Appendix B / \[14\]:
@@ -356,7 +293,7 @@ mod tests {
         let c_big = calc.noise_factor(link, 1e12).unwrap();
         assert!((c_big - params.beta()).abs() < 1e-6);
         // At or below the floor: error.
-        let floor = params.noise_floor_power(1.0);
+        let floor = params.noise_floor_power(1.0, 0, 1);
         assert!(calc.noise_factor(link, floor).is_err());
     }
 

@@ -3,7 +3,8 @@
 //! Implements §3 and §5 of Halldórsson & Mitra (PODC 2012):
 //!
 //! - [`SinrParams`] — the model constants `α` (path loss), `β` (SINR
-//!   threshold), `N` (ambient noise) and `ε` (affectance clip);
+//!   threshold), `N` (ambient noise) and `ε` (affectance clip), plus
+//!   the [`ChannelModel`] every gain is computed under;
 //! - [`PowerAssignment`] — uniform / mean / linear / general-oblivious /
 //!   arbitrary (explicit) power, the assignments of §3;
 //! - [`affectance`] — the thresholded affectance `a_w(ℓ)` of §5,
@@ -12,15 +13,14 @@
 //! - [`feasibility`] — per-slot feasibility of link sets, including the
 //!   half-duplex rule, whole-schedule validation, and the incremental
 //!   [`feasibility::SlotAuditor`] used by the packers;
-//! - [`channel`] — the [`ChannelModel`] every gain computation routes
-//!   through: the paper's geometric power law (bit-identical to the
-//!   legacy `SinrParams` path), plus deterministic log-normal
+//! - [`channel`] — the [`ChannelModel`]: the paper's geometric power
+//!   law (every fade exactly 1), plus deterministic log-normal
 //!   [`Shadowing`] whose truncated per-link fades give the certified
 //!   field a finite gain range (DESIGN.md §15);
 //! - [`field`] — the spatially-indexed interference field: certified
 //!   thresholded queries over a grid-bucketed transmitter set,
 //!   bit-identical to the naive all-pairs path (DESIGN.md §7), with
-//!   far-field bounds widened by the model's `gain_bounds`;
+//!   far-field bounds widened by [`SinrParams::gain_bounds`];
 //! - [`upsilon`] — the oblivious-power cost ratio
 //!   `Υ = O(log log Δ + log n)`.
 //!

@@ -10,7 +10,7 @@ use sinr_geom::Instance;
 use sinr_links::{InTree, Link, LinkSet, Schedule};
 
 use crate::feasibility::{self, SlotAuditor};
-use crate::{ChannelModel, PowerAssignment, SinrParams};
+use crate::{PowerAssignment, SinrParams};
 
 /// Packs `links` (in the given order) greedily: each link goes to the
 /// earliest slot `≥ min_slot(link)` whose occupancy stays feasible.
@@ -28,26 +28,6 @@ pub fn first_fit(
     instance: &Instance,
     links: &[Link],
     power: &PowerAssignment,
-    min_slot: impl FnMut(Link) -> usize,
-) -> (Schedule, Vec<Link>) {
-    first_fit_with_model(
-        params,
-        instance,
-        ChannelModel::Geometric,
-        links,
-        power,
-        min_slot,
-    )
-}
-
-/// [`first_fit`] under an explicit [`ChannelModel`]; the Geometric
-/// model is bit-identical to [`first_fit`].
-pub fn first_fit_with_model(
-    params: &SinrParams,
-    instance: &Instance,
-    model: ChannelModel,
-    links: &[Link],
-    power: &PowerAssignment,
     mut min_slot: impl FnMut(Link) -> usize,
 ) -> (Schedule, Vec<Link>) {
     let mut slots: Vec<SlotAuditor<'_>> = Vec::new();
@@ -56,7 +36,7 @@ pub fn first_fit_with_model(
 
     'links: for &link in links {
         let alone: LinkSet = std::iter::once(link).collect();
-        if !feasibility::is_feasible_with_model(params, instance, &alone, power, model) {
+        if !feasibility::is_feasible(params, instance, &alone, power) {
             unschedulable.push(link);
             continue;
         }
@@ -66,7 +46,7 @@ pub fn first_fit_with_model(
         let mut s = min_slot(link);
         loop {
             while slots.len() <= s {
-                slots.push(SlotAuditor::with_model(params, instance, model));
+                slots.push(SlotAuditor::new(params, instance));
             }
             if slots[s].try_push(link, pw) {
                 schedule.assign(link, s);
@@ -97,18 +77,6 @@ pub fn pack_tree_ordered(
     tree: &InTree,
     power: &PowerAssignment,
 ) -> (Schedule, Vec<Link>) {
-    pack_tree_ordered_with_model(params, instance, ChannelModel::Geometric, tree, power)
-}
-
-/// [`pack_tree_ordered`] under an explicit [`ChannelModel`]; the
-/// Geometric model is bit-identical to [`pack_tree_ordered`].
-pub fn pack_tree_ordered_with_model(
-    params: &SinrParams,
-    instance: &Instance,
-    model: ChannelModel,
-    tree: &InTree,
-    power: &PowerAssignment,
-) -> (Schedule, Vec<Link>) {
     let mut floor = vec![0usize; tree.len()];
     let ordered: Vec<Link> = tree
         .leaf_to_root_order()
@@ -117,8 +85,8 @@ pub fn pack_tree_ordered_with_model(
         .collect();
 
     let bidirectional_feasible = |set: &LinkSet| {
-        feasibility::is_feasible_with_model(params, instance, set, power, model)
-            && feasibility::is_feasible_with_model(params, instance, &set.dual(), power, model)
+        feasibility::is_feasible(params, instance, set, power)
+            && feasibility::is_feasible(params, instance, &set.dual(), power)
     };
 
     // Pack one link at a time so receiver floors update as we go. Each
@@ -145,8 +113,8 @@ pub fn pack_tree_ordered_with_model(
         loop {
             while slots.len() <= s {
                 slots.push((
-                    SlotAuditor::with_model(params, instance, model),
-                    SlotAuditor::with_model(params, instance, model),
+                    SlotAuditor::new(params, instance),
+                    SlotAuditor::new(params, instance),
                 ));
             }
             let (fwd, dual) = &mut slots[s];
@@ -209,7 +177,7 @@ mod tests {
     fn unschedulable_links_reported() {
         let p = params();
         let inst = gen::line(3).unwrap();
-        let weak = PowerAssignment::uniform(p.noise_floor_power(2.0) * 0.1);
+        let weak = PowerAssignment::uniform(p.noise_floor_power(2.0, 0, 1) * 0.1);
         let links = [Link::new(0, 2)];
         let (s, bad) = first_fit(&p, &inst, &links, &weak, |_| 0);
         assert_eq!(bad.len(), 1);

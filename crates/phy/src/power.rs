@@ -6,7 +6,7 @@ use std::fmt;
 use sinr_geom::Instance;
 use sinr_links::Link;
 
-use crate::{ChannelModel, PhyError, Result, SinrParams};
+use crate::{PhyError, Result, SinrParams};
 
 /// A power assignment: how much power the sender of each link uses.
 ///
@@ -32,7 +32,7 @@ use crate::{ChannelModel, PhyError, Result, SinrParams};
 /// let inst = Instance::new(vec![Point::new(0.0, 0.0), Point::new(4.0, 0.0)])?;
 /// let mean = PowerAssignment::mean_with_margin(&params, inst.delta());
 /// let p = mean.power_of(Link::new(0, 1), &inst, &params)?;
-/// assert!(p > params.noise_floor_power(4.0));
+/// assert!(p > params.noise_floor_power(4.0, 0, 1));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone, PartialEq)]
@@ -105,72 +105,32 @@ impl PowerAssignment {
     }
 
     /// Uniform power sized so every link up to length `max_len`
-    /// comfortably overcomes noise (`c ≤ 2β`; §6 sets `2βN·2^{rα}`).
+    /// comfortably overcomes noise (`c ≤ 2β`; §6 sets `2βN·2^{rα}`),
+    /// on every link of the params' channel
+    /// ([`SinrParams::min_power_for_length`]).
     pub fn uniform_with_margin(params: &SinrParams, max_len: f64) -> Self {
         PowerAssignment::uniform(params.min_power_for_length(max_len).max(f64::MIN_POSITIVE))
     }
 
     /// Mean power with the scale chosen so all links up to `max_len`
     /// satisfy `c ≤ 2β`: `scale = 2βN·max_len^{α/2}` (so
-    /// `P(ℓ) = 2βN·max_len^{α/2}·ℓ^{α/2} ≥ 2βN·ℓ^α` for `ℓ ≤ max_len`).
+    /// `P(ℓ) = 2βN·max_len^{α/2}·ℓ^{α/2} ≥ 2βN·ℓ^α` for `ℓ ≤ max_len`),
+    /// widened by the channel's deepest fade.
     pub fn mean_with_margin(params: &SinrParams, max_len: f64) -> Self {
-        let scale = (2.0 * params.beta() * params.noise() * max_len.powf(params.alpha() / 2.0))
+        let (fade_lo, _) = params.channel().fade_bounds();
+        let scale = (2.0 * params.beta() * params.noise() * max_len.powf(params.alpha() / 2.0)
+            / fade_lo)
             .max(f64::MIN_POSITIVE);
         PowerAssignment::mean(scale)
     }
 
     /// Linear power with the noise-margin scale `2βN` (length-independent
-    /// because the exponent already matches the path loss).
+    /// because the exponent already matches the path loss), widened by
+    /// the channel's deepest fade.
     pub fn linear_with_margin(params: &SinrParams) -> Self {
-        let scale = (2.0 * params.beta() * params.noise()).max(f64::MIN_POSITIVE);
+        let (fade_lo, _) = params.channel().fade_bounds();
+        let scale = (2.0 * params.beta() * params.noise() / fade_lo).max(f64::MIN_POSITIVE);
         PowerAssignment::linear(scale)
-    }
-
-    /// [`uniform_with_margin`](Self::uniform_with_margin) under an
-    /// explicit [`ChannelModel`]: the margin also covers the deepest
-    /// certified fade, so the noise factor stays bounded on every link.
-    pub fn uniform_with_margin_model(
-        params: &SinrParams,
-        model: &ChannelModel,
-        max_len: f64,
-    ) -> Self {
-        match model {
-            ChannelModel::Geometric => PowerAssignment::uniform_with_margin(params, max_len),
-            _ => PowerAssignment::uniform(
-                model
-                    .min_power_for_length(params, max_len)
-                    .max(f64::MIN_POSITIVE),
-            ),
-        }
-    }
-
-    /// [`mean_with_margin`](Self::mean_with_margin) under an explicit
-    /// [`ChannelModel`] (scale widened by the deepest certified fade).
-    pub fn mean_with_margin_model(params: &SinrParams, model: &ChannelModel, max_len: f64) -> Self {
-        match model {
-            ChannelModel::Geometric => PowerAssignment::mean_with_margin(params, max_len),
-            _ => {
-                let (fade_lo, _) = model.fade_bounds();
-                let scale =
-                    (2.0 * params.beta() * params.noise() * max_len.powf(params.alpha() / 2.0)
-                        / fade_lo)
-                        .max(f64::MIN_POSITIVE);
-                PowerAssignment::mean(scale)
-            }
-        }
-    }
-
-    /// [`linear_with_margin`](Self::linear_with_margin) under an
-    /// explicit [`ChannelModel`] (scale widened by the deepest fade).
-    pub fn linear_with_margin_model(params: &SinrParams, model: &ChannelModel) -> Self {
-        match model {
-            ChannelModel::Geometric => PowerAssignment::linear_with_margin(params),
-            _ => {
-                let (fade_lo, _) = model.fade_bounds();
-                let scale = (2.0 * params.beta() * params.noise() / fade_lo).max(f64::MIN_POSITIVE);
-                PowerAssignment::linear(scale)
-            }
-        }
     }
 
     /// An explicit per-link assignment (the paper's "arbitrary power").
@@ -268,21 +228,27 @@ mod tests {
 
     #[test]
     fn margin_constructors_beat_noise_floor() {
-        let params = SinrParams::default();
         let i = inst();
         let long = Link::new(0, 2);
         let short = Link::new(0, 1);
-        for pa in [
-            PowerAssignment::uniform_with_margin(&params, i.delta()),
-            PowerAssignment::mean_with_margin(&params, i.delta()),
-            PowerAssignment::linear_with_margin(&params),
+        for channel in [
+            crate::ChannelModel::Geometric,
+            crate::ChannelModel::shadowed(4, 6.0).unwrap(),
         ] {
-            for l in [long, short] {
-                let p = pa.power_of(l, &i, &params).unwrap();
-                assert!(
-                    p >= 2.0 * params.noise_floor_power(l.length(&i)) * (1.0 - 1e-12),
-                    "{pa:?} gave {p} for {l:?}"
-                );
+            let params = SinrParams::default().with_channel(channel);
+            for pa in [
+                PowerAssignment::uniform_with_margin(&params, i.delta()),
+                PowerAssignment::mean_with_margin(&params, i.delta()),
+                PowerAssignment::linear_with_margin(&params),
+            ] {
+                for l in [long, short] {
+                    let p = pa.power_of(l, &i, &params).unwrap();
+                    let floor = params.noise_floor_power(l.length(&i), l.sender, l.receiver);
+                    assert!(
+                        p >= 2.0 * floor * (1.0 - 1e-12),
+                        "{channel:?}: {pa:?} gave {p} for {l:?}"
+                    );
+                }
             }
         }
     }

@@ -1,26 +1,26 @@
-//! ChannelModel parity gates (DESIGN.md §15).
+//! Channel-model parity gates (DESIGN.md §15).
 //!
-//! The gain-path redesign's contract has two halves:
+//! The channel lives in `SinrParams`, and every gain is
+//! `path_gain(d) · fade(u, v)`. The contract has two halves:
 //!
-//! 1. **Geometric is the legacy power law, bit for bit.** Every
-//!    model-routed quantity (`gain`, `min_power_for_length`,
-//!    `noise_floor_power`, the field's decode) must reproduce the
-//!    pre-redesign `SinrParams` expressions exactly — not approximately
-//!    — so the committed fingerprints and `BENCH_*.json` snapshots
-//!    survive the refactor untouched.
-//! 2. **Certification only widens.** Under any model, the field's
-//!    certified decode must equal the exact naive-order reference
-//!    ([`decode_best_exact_with_model`]): the fade-widened far-field
+//! 1. **Geometric is the paper's power law, bit for bit.** Its fade is
+//!    exactly `1.0`, so every `SinrParams` gain quantity (`gain`,
+//!    `gain_bounds`, `min_power_for_length`, `noise_floor_power`) must
+//!    equal the raw Eqn-1 formula to the bit, and the certified field
+//!    decode must equal the exact naive-order reference.
+//! 2. **Certification only widens.** Under a shadowed channel, the
+//!    field's certified decode must equal the exact naive-order
+//!    reference ([`decode_best_exact`]): the fade-widened far-field
 //!    bounds may cost certainty (forcing fallbacks), never correctness
 //!    (flipping a decision).
 //!
-//! Both halves sweep the three power families (uniform / mean /
-//! linear) over random geometry via proptest.
+//! Both halves sweep random geometry via proptest; the decode checks
+//! also sweep the three power families (uniform / mean / linear).
 
 use proptest::prelude::*;
 use sinr_geom::{gen, Instance, NodeId};
 use sinr_links::Link;
-use sinr_phy::field::{decode_best_exact, decode_best_exact_with_model, InterferenceField};
+use sinr_phy::field::{decode_best_exact, InterferenceField};
 use sinr_phy::{ChannelModel, PowerAssignment, Shadowing, SinrParams};
 
 /// Sender set for one slot: every `stride`-th node transmits with the
@@ -54,11 +54,51 @@ fn bits(r: Option<(NodeId, f64, f64)>) -> Option<(NodeId, u64, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Half 1: the Geometric member of the enum is the legacy gain
-    /// path to the bit — scalar quantities and the full certified
-    /// field decode, across power families and sender counts.
+    /// Half 1a: under the geometric channel the `SinrParams` gain
+    /// quantities are the raw power-law formulas, to the bit, for any
+    /// valid `(α, β, N)`.
     #[test]
-    fn geometric_model_is_legacy_bits(
+    fn geometric_gains_are_the_raw_power_law(
+        alpha_tenths in 21u32..80,
+        beta_tenths in 10u32..100,
+        noise_tenths in 0u32..50,
+        d_tenths in 1u32..2_000,
+        span_tenths in 0u32..500,
+        pair in 0usize..1_000_000,
+    ) {
+        let (u, v) = (pair / 1_000, pair % 1_000);
+        let (alpha, beta, noise) = (
+            f64::from(alpha_tenths) / 10.0,
+            f64::from(beta_tenths) / 10.0,
+            f64::from(noise_tenths) / 10.0,
+        );
+        let params = SinrParams::new(alpha, beta, noise, 0.1).unwrap();
+        prop_assert!(params.channel().is_geometric());
+        let d = f64::from(d_tenths) / 10.0;
+        let d_hi = d + f64::from(span_tenths) / 10.0;
+
+        prop_assert_eq!(params.gain(d, u, v).to_bits(), d.powf(-alpha).to_bits());
+        prop_assert_eq!(params.path_gain(d).to_bits(), d.powf(-alpha).to_bits());
+        let (lo, hi) = params.gain_bounds(d, d_hi);
+        prop_assert_eq!(lo.to_bits(), d_hi.powf(-alpha).to_bits());
+        prop_assert_eq!(hi.to_bits(), d.powf(-alpha).to_bits());
+        let min_power = if noise == 0.0 {
+            d.powf(alpha)
+        } else {
+            2.0 * beta * noise * d.powf(alpha)
+        };
+        prop_assert_eq!(params.min_power_for_length(d).to_bits(), min_power.to_bits());
+        prop_assert_eq!(
+            params.noise_floor_power(d, u, v).to_bits(),
+            (beta * noise * d.powf(alpha)).to_bits()
+        );
+    }
+
+    /// Half 1b: the geometric certified field decode equals the exact
+    /// reference on every listener, across power families and sender
+    /// counts (certification never flips a decision).
+    #[test]
+    fn geometric_field_decode_matches_exact_reference(
         seed in 0u64..5_000,
         n in 16usize..200,
         tau in 0usize..3,
@@ -66,43 +106,19 @@ proptest! {
     ) {
         let params = SinrParams::default();
         let inst = gen::uniform_square(n, 1.5, seed).unwrap();
-        let model = ChannelModel::Geometric;
-
-        // Scalar parity on sampled pairs.
-        for u in (0..inst.len()).step_by(5) {
-            let v = (u + 1) % inst.len();
-            let d = inst.distance(u, v);
-            prop_assert_eq!(
-                model.gain(&params, d, u, v).to_bits(),
-                params.path_gain(d).to_bits()
-            );
-            prop_assert_eq!(
-                model.min_power_for_length(&params, d).to_bits(),
-                params.min_power_for_length(d).to_bits()
-            );
-            prop_assert_eq!(
-                model.noise_floor_power(&params, d, u, v).to_bits(),
-                params.noise_floor_power(d).to_bits()
-            );
-        }
-
-        // Field parity: the model-routed build and the legacy build
-        // decode every listener identically, and both equal the exact
-        // reference (certification never flips a decision).
         let senders = make_senders(&params, &inst, tau, stride);
         prop_assume!(!senders.is_empty());
-        let legacy = InterferenceField::build(&params, &inst, &senders);
-        let routed =
-            InterferenceField::build_with_model(&params, model, &inst, &senders, Default::default());
+        let field = InterferenceField::build(&params, &inst, &senders);
         let transmitting: Vec<bool> = {
             let mut t = vec![false; inst.len()];
             for &(u, _) in &senders { t[u] = true; }
             t
         };
         for v in (0..inst.len()).filter(|&v| !transmitting[v]) {
-            let got = routed.decode_best(v);
-            prop_assert_eq!(bits(got), bits(legacy.decode_best(v)));
-            prop_assert_eq!(bits(got), bits(decode_best_exact(&params, &inst, v, &senders)));
+            prop_assert_eq!(
+                bits(field.decode_best(v)),
+                bits(decode_best_exact(&params, &inst, v, &senders))
+            );
         }
     }
 
@@ -117,15 +133,14 @@ proptest! {
         tau in 0usize..3,
         sigma_tenths in 20u32..100,
     ) {
-        let params = SinrParams::default();
         let inst = gen::uniform_square(n, 1.5, seed).unwrap();
         let sigma = f64::from(sigma_tenths) / 10.0;
-        let model =
-            ChannelModel::Shadowed(Shadowing::new(seed ^ 0xFADE, sigma).unwrap());
-        let senders = make_senders(&params, &inst, tau, 3);
+        let params = SinrParams::default().with_channel(ChannelModel::Shadowed(
+            Shadowing::new(seed ^ 0xFADE, sigma).unwrap(),
+        ));
+        let senders = make_senders(&SinrParams::default(), &inst, tau, 3);
         prop_assume!(!senders.is_empty());
-        let field =
-            InterferenceField::build_with_model(&params, model, &inst, &senders, Default::default());
+        let field = InterferenceField::build(&params, &inst, &senders);
         let transmitting: Vec<bool> = {
             let mut t = vec![false; inst.len()];
             for &(u, _) in &senders { t[u] = true; }
@@ -134,7 +149,7 @@ proptest! {
         for v in (0..inst.len()).filter(|&v| !transmitting[v]) {
             prop_assert_eq!(
                 bits(field.decode_best(v)),
-                bits(decode_best_exact_with_model(&params, model, &inst, v, &senders)),
+                bits(decode_best_exact(&params, &inst, v, &senders)),
                 "listener {} diverged from the exact reference", v
             );
         }

@@ -18,8 +18,7 @@
 use std::fmt::Write as _;
 
 use sinr_connect_suite::connectivity::{
-    connect, connect_opts, connect_with, ChannelModel, ConnectivityResult, EngineBackend,
-    EngineOptions, Strategy,
+    connect, connect_with, ChannelModel, ConnectivityResult, EngineBackend, Strategy,
 };
 use sinr_connect_suite::geom::{gen, Instance};
 use sinr_connect_suite::phy::SinrParams;
@@ -127,8 +126,7 @@ fn grid_engine_is_byte_identical_to_naive_on_every_family() {
 /// channel on every strategy × family pair, repeated runs included.
 #[test]
 fn shadowed_channel_is_backend_and_thread_invariant() {
-    let params = SinrParams::default();
-    let channel = ChannelModel::shadowed(0x5AD, 6.0).unwrap();
+    let params = SinrParams::default().with_channel(ChannelModel::shadowed(0x5AD, 6.0).unwrap());
     let backends = [
         EngineBackend::Naive,
         EngineBackend::Grid,
@@ -140,8 +138,7 @@ fn shadowed_channel_is_backend_and_thread_invariant() {
         for strategy in Strategy::ALL {
             let mut want: Option<String> = None;
             for backend in backends {
-                let opts = EngineOptions { backend, channel };
-                let run = connect_opts(&params, &inst, strategy, 123, opts)
+                let run = connect_with(&params, &inst, strategy, 123, backend)
                     .unwrap_or_else(|e| panic!("{family}/{strategy}/{backend:?}: {e}"));
                 let got = fingerprint(&run);
                 match &want {
@@ -166,13 +163,8 @@ fn shadowed_channel_is_seed_sensitive() {
     let params = SinrParams::default();
     let inst = gen::uniform_square(32, 1.5, 23).unwrap();
     let run = |channel: ChannelModel| {
-        let opts = EngineOptions {
-            backend: EngineBackend::Grid,
-            channel,
-        };
-        fingerprint(
-            &connect_opts(&params, &inst, Strategy::TvcArbitrary, 123, opts).expect("connects"),
-        )
+        let params = params.with_channel(channel);
+        fingerprint(&connect(&params, &inst, Strategy::TvcArbitrary, 123).expect("connects"))
     };
     let geometric = run(ChannelModel::Geometric);
     let fade_a = run(ChannelModel::shadowed(1, 6.0).unwrap());
@@ -373,17 +365,8 @@ fn connect_outputs_are_pinned() {
     );
 
     let inst = gen::uniform_square(32, 1.5, 23).unwrap();
-    let shadowed = connect_opts(
-        &params,
-        &inst,
-        Strategy::TvcArbitrary,
-        123,
-        EngineOptions {
-            backend: EngineBackend::Grid,
-            channel: ChannelModel::shadowed(0x5AD, 6.0).unwrap(),
-        },
-    )
-    .unwrap();
+    let faded = params.with_channel(ChannelModel::shadowed(0x5AD, 6.0).unwrap());
+    let shadowed = connect(&faded, &inst, Strategy::TvcArbitrary, 123).unwrap();
     let h = fnv1a(fingerprint(&shadowed).as_bytes());
     assert_eq!(
         h, 0x7e24_fc98_bf6b_417d,
@@ -651,7 +634,7 @@ fn fault_detection_is_backend_and_thread_invariant() {
 
     let run = |backend: EngineBackend| {
         let cfg = DetectConfig {
-            engine: backend.into(),
+            backend,
             ..DetectConfig::default()
         };
         detect_failures(&params, &inst, &prior, &plan, &cfg, 23)
@@ -694,7 +677,7 @@ fn fault_serve_loop_is_byte_identical_across_backends() {
         let cfg = ServeConfig {
             events: 6,
             detect: DetectConfig {
-                engine: backend.into(),
+                backend,
                 ..ServeConfig::default().detect
             },
             ..ServeConfig::default()
@@ -740,7 +723,7 @@ fn distributed_repack_serve_loop_is_byte_identical_across_backends() {
             events: 6,
             repack: RepackMode::Distributed,
             detect: DetectConfig {
-                engine: backend.into(),
+                backend,
                 ..ServeConfig::default().detect
             },
             ..ServeConfig::default()

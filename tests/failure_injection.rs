@@ -107,7 +107,7 @@ fn contention_detects_impossible_links() {
     let params = SinrParams::default();
     let inst = gen::line(3).unwrap();
     let links = LinkSet::from_links(vec![Link::new(0, 2)]).unwrap();
-    let weak = PowerAssignment::uniform(params.noise_floor_power(2.0) * 0.5);
+    let weak = PowerAssignment::uniform(params.noise_floor_power(2.0, 0, 2) * 0.5);
     assert!(matches!(
         schedule_distributed(
             &params,

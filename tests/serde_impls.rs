@@ -11,7 +11,7 @@
 
 use sinr_connect_suite::geom::{gen, Aabb, Instance, Point};
 use sinr_connect_suite::links::{InTree, Link, LinkSet, Schedule};
-use sinr_connect_suite::phy::SinrParams;
+use sinr_connect_suite::phy::{ChannelModel, SinrParams};
 
 fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
 
@@ -59,6 +59,10 @@ fn data_types_roundtrip_through_the_data_model() {
 
     let params = SinrParams::default();
     assert_eq!(roundtrip(&params), params);
+    // A shadowed channel survives the trip (a lossy encoding would
+    // silently bring it back geometric).
+    let shadowed = params.with_channel(ChannelModel::shadowed(0x5AD, 6.0).unwrap());
+    assert_eq!(roundtrip(&shadowed), shadowed);
 }
 
 /// Deserialization re-validates invariants: payloads describing invalid
@@ -91,6 +95,10 @@ fn invalid_payloads_are_rejected() {
     // Out-of-domain SINR parameters (α ≤ 2).
     let bad_params = (1.5f64, 2.0f64, 1.0f64, 0.1f64);
     assert!(SinrParams::from_value(&bad_params.to_value()).is_err());
+
+    // Shadowing re-validates too: truncation below σ.
+    let bad_fade = (3.0f64, 2.0f64, 1.0f64, 0.1f64, 7u64, 6.0f64, 3.0f64);
+    assert!(SinrParams::from_value(&bad_fade.to_value()).is_err());
 }
 
 #[test]
