@@ -54,8 +54,9 @@
 //!   engine state at a slot (strategy `init-only`) into a replayable
 //!   snapshot file;
 //! - `--replay-from <path>` resumes a snapshot file under `--engine`
-//!   and verifies the tail fingerprint bit-for-bit against the
-//!   original run's;
+//!   (and under the channel the file records with the SINR
+//!   parameters) and verifies the tail fingerprint bit-for-bit against
+//!   the original run's;
 //! - `--diff-engine <backend>` runs `--engine` and the named backend
 //!   with tracing on and reports the first divergence (slot, node,
 //!   event kind, field, both values) — or certifies there is none.
@@ -283,10 +284,10 @@ fn parse_args() -> Result<Args, String> {
     if snapshot.is_some() != snapshot_at.is_some() {
         return Err("--snapshot and --snapshot-at go together: both or neither".into());
     }
-    if fade.is_some() && (snapshot.is_some() || replay_from.is_some()) {
+    if fade.is_some() && replay_from.is_some() {
         return Err(
-            "--fade is not recorded in snapshot files; the snapshot/replay modes \
-             run the geometric channel"
+            "--replay-from resumes under the channel recorded in the snapshot file; \
+             drop --fade"
                 .into(),
         );
     }
@@ -820,7 +821,7 @@ fn run_snapshot(args: &Args, params: &SinrParams, path: &std::path::Path, at: u6
     }
     let instance = args.family.instance(args.n, args.seed);
     let cfg = InitConfig {
-        engine: args.engine_opts(),
+        backend: args.engine,
         ..Default::default()
     };
     let replay = match run_init_with_snapshot(params, &instance, &cfg, args.seed, at) {
@@ -900,7 +901,7 @@ fn run_replay(args: &Args, path: &std::path::Path) {
     };
     let instance = family.instance(file.n, file.seed);
     let cfg = InitConfig {
-        engine: args.engine_opts(),
+        backend: args.engine,
         ..Default::default()
     };
     println!(

@@ -274,8 +274,6 @@ impl_serde_tuple!(
     (A:0, B:1 ; 2),
     (A:0, B:1, C:2 ; 3),
     (A:0, B:1, C:2, D:3 ; 4),
-    (A:0, B:1, C:2, D:3, E:4 ; 5),
-    (A:0, B:1, C:2, D:3, E:4, F:5 ; 6),
     (A:0, B:1, C:2, D:3, E:4, F:5, G:6 ; 7),
 );
 

@@ -396,7 +396,7 @@ mod tests {
         let p = params();
         let inst = gen::line(3).unwrap();
         let links = LinkSet::from_links(vec![Link::new(0, 2)]).unwrap(); // length 2
-        let weak = PowerAssignment::uniform(p.noise_floor_power(2.0, 0, 1) * 0.9);
+        let weak = PowerAssignment::uniform(p.noise_floor_power(2.0, 0, 2) * 0.9);
         let e = schedule_distributed(&p, &inst, &links, &weak, &Default::default(), 0);
         assert!(matches!(e, Err(CoreError::Phy(_))));
     }

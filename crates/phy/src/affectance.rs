@@ -121,10 +121,10 @@ impl<'a> AffectanceCalc<'a> {
         }
         // The distance ratio picks up the fade ratio `f(w,v) / f(u,v)`
         // of the interfering and signal paths (both 1 when geometric).
-        let fade = |a, b| self.params.channel().fade(a, b);
+        let channel = self.params.channel();
         let raw = c
-            * ((w_power * fade(w, link.receiver))
-                / (link_power * fade(link.sender, link.receiver)))
+            * ((w_power * channel.fade(w, link.receiver))
+                / (link_power * channel.fade(link.sender, link.receiver)))
             * (d_uv / d_wv).powf(self.params.alpha());
         raw.min(clip)
     }

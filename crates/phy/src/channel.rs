@@ -188,6 +188,19 @@ impl ChannelModel {
         }
     }
 
+    /// Runs `kernel` with this channel's fade as a statically
+    /// dispatched closure — `|_, _| 1.0` under
+    /// [`Geometric`](ChannelModel::Geometric), where the compiler folds
+    /// the `× 1.0` away and the loop is the bare power law. Hot loops
+    /// keep one source body and get one compiled copy per member.
+    #[inline]
+    pub(crate) fn with_fade<K: FadeKernel>(&self, kernel: K) -> K::Output {
+        match self {
+            ChannelModel::Geometric => kernel.run(|_, _| 1.0),
+            ChannelModel::Shadowed(s) => kernel.run(|u, v| s.fade(u, v)),
+        }
+    }
+
     /// Short label for tables and CLI reports.
     pub fn label(&self) -> String {
         match self {
@@ -195,6 +208,15 @@ impl ChannelModel {
             ChannelModel::Shadowed(s) => format!("shadowed σ={}dB", s.sigma_db),
         }
     }
+}
+
+/// A hot loop generic over the per-link fade; see
+/// [`ChannelModel::with_fade`].
+pub(crate) trait FadeKernel {
+    /// What the kernel returns.
+    type Output;
+    /// Runs the kernel with `fade(u, v)` as the fade of the pair.
+    fn run(self, fade: impl Fn(NodeId, NodeId) -> f64) -> Self::Output;
 }
 
 #[cfg(test)]

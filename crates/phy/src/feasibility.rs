@@ -16,6 +16,7 @@ use sinr_geom::{Instance, NodeId};
 use sinr_links::{Link, LinkSet, Schedule};
 
 use crate::affectance::AffectanceCalc;
+use crate::channel::FadeKernel;
 use crate::{PhyError, PowerAssignment, SinrParams};
 
 /// Why a link failed within its slot.
@@ -296,12 +297,32 @@ impl<'a> SlotAuditor<'a> {
     /// Adds `link` transmitting with `power` to the slot, updating all
     /// cached sums incrementally (`O(len)`).
     pub fn push(&mut self, link: Link, power: f64) {
+        struct Push<'s, 'a> {
+            auditor: &'s mut SlotAuditor<'a>,
+            link: Link,
+            power: f64,
+        }
+        impl FadeKernel for Push<'_, '_> {
+            type Output = ();
+            fn run(self, fade: impl Fn(NodeId, NodeId) -> f64) {
+                self.auditor.push_faded(self.link, self.power, fade);
+            }
+        }
+        let channel = self.params.channel();
+        channel.with_fade(Push {
+            auditor: self,
+            link,
+            power,
+        });
+    }
+
+    /// [`push`](Self::push) with the channel's fade as a static closure.
+    fn push_faded(&mut self, link: Link, power: f64, fade: impl Fn(NodeId, NodeId) -> f64) {
         let mut snapshot = self.spare.pop().unwrap_or_default();
         snapshot.clear();
         snapshot.extend_from_slice(&self.interference);
         self.undo.push(snapshot);
         let len = link.length(self.instance);
-        let fade = |u, v| self.params.channel().fade(u, v);
         let mut acc = 0.0;
         // New sender's term lands on every resident receiver…
         for (i, l) in self.links.iter().enumerate() {

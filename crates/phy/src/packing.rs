@@ -177,7 +177,7 @@ mod tests {
     fn unschedulable_links_reported() {
         let p = params();
         let inst = gen::line(3).unwrap();
-        let weak = PowerAssignment::uniform(p.noise_floor_power(2.0, 0, 1) * 0.1);
+        let weak = PowerAssignment::uniform(p.noise_floor_power(2.0, 0, 2) * 0.1);
         let links = [Link::new(0, 2)];
         let (s, bad) = first_fit(&p, &inst, &links, &weak, |_| 0);
         assert_eq!(bad.len(), 1);
