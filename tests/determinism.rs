@@ -392,6 +392,46 @@ fn connect_outputs_are_pinned() {
     );
 }
 
+/// FNV-1a of the rendered `pack_tree_ordered` schedule of `inst`'s MST
+/// under mean power with margin — the rendering the pack pin of
+/// [`connect_outputs_are_pinned`] uses.
+fn pack_fingerprint(params: &SinrParams, inst: &Instance) -> u64 {
+    use sinr_connect_suite::geom::mst::mst_parent_array;
+    use sinr_connect_suite::links::InTree;
+    use sinr_connect_suite::phy::{packing, PowerAssignment};
+    let tree = InTree::from_parents(mst_parent_array(inst, 0)).unwrap();
+    let power = PowerAssignment::mean_with_margin(params, inst.delta());
+    let (schedule, unschedulable) = packing::pack_tree_ordered(params, inst, &tree, &power);
+    assert!(unschedulable.is_empty());
+    let mut rendered = String::new();
+    for (l, s) in schedule.iter() {
+        let _ = writeln!(rendered, "{}->{} @{}", l.sender, l.receiver, s);
+    }
+    fnv1a(rendered.as_bytes())
+}
+
+/// Golden pins of `pack_tree_ordered` on slots that hold hundreds of
+/// residents (n = 2048), under the geometric and the shadowed channel.
+/// The 64-node pin above is too small for the slot auditor's certified
+/// bounds to decide anything; these slots exercise the certified
+/// passes, the certified rejects and the exact fallback together.
+#[test]
+fn pack_outputs_are_pinned_at_scale() {
+    let params = SinrParams::default();
+    let inst = gen::uniform_square(2048, 1.5, 5).unwrap();
+    let h = pack_fingerprint(&params, &inst);
+    assert_eq!(
+        h, 0x185f_4f60_7446_d195,
+        "geometric pack_tree_ordered schedule changed: got fingerprint {h:#018x}"
+    );
+    let faded = params.with_channel(ChannelModel::shadowed(0x5AD, 6.0).unwrap());
+    let h = pack_fingerprint(&faded, &inst);
+    assert_eq!(
+        h, 0xc881_b95c_50c2_1803,
+        "shadowed pack_tree_ordered schedule changed: got fingerprint {h:#018x}"
+    );
+}
+
 /// Canonical byte rendering of an ensemble experiment's output: the
 /// aligned text tables *and* their JSON forms, concatenated — the
 /// bytes that end up on terminals and in committed `BENCH_*.json`
