@@ -3,14 +3,14 @@
 //! The centralized scheduling results the paper builds on (Theorem 9:
 //! a ψ-sparse set schedules in `O(ψ·log n)` slots) are realized by
 //! greedy packing: process links in a chosen order and put each into
-//! the earliest slot that stays feasible. This module provides that
-//! packer, with optional per-link lower bounds on the slot index so
-//! tree schedules can respect aggregation ordering.
+//! the earliest slot that stays feasible. This module chooses the
+//! order; [`packing::first_fit`] packs, with optional per-link lower
+//! bounds on the slot index so tree schedules can respect aggregation
+//! ordering.
 
 use sinr_geom::Instance;
 use sinr_links::{Link, LinkSet, Schedule};
-use sinr_phy::feasibility::{self, SlotAuditor};
-use sinr_phy::{PowerAssignment, SinrParams};
+use sinr_phy::{packing, PowerAssignment, SinrParams};
 
 /// The order in which first-fit processes links.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -25,8 +25,9 @@ pub enum FirstFitOrder {
     AsGiven,
 }
 
-/// Schedules `links` greedily under `power`, returning a schedule in
-/// which every slot is feasible.
+/// Schedules `links` greedily under `power` in the chosen `order`
+/// ([`packing::first_fit`]), returning a schedule in which every slot
+/// is feasible.
 ///
 /// `min_slot(link)` gives the earliest slot the link may use (return 0
 /// for unconstrained packing); the packer never violates it, which is
@@ -60,7 +61,7 @@ pub fn first_fit_schedule(
     links: &LinkSet,
     power: &PowerAssignment,
     order: FirstFitOrder,
-    mut min_slot: impl FnMut(Link) -> usize,
+    min_slot: impl FnMut(Link) -> usize,
 ) -> (Schedule, Vec<Link>) {
     let ordered: Vec<Link> = match order {
         FirstFitOrder::AscendingLength => links.sorted_by_length(instance),
@@ -71,45 +72,14 @@ pub fn first_fit_schedule(
         }
         FirstFitOrder::AsGiven => links.links().to_vec(),
     };
-
-    // Incremental per-slot auditors: probing a placement is `O(slot)`
-    // and bit-identical to rebuilding the slot set through
-    // `feasibility::check` (the auditor's determinism contract).
-    let mut slots: Vec<SlotAuditor<'_>> = Vec::new();
-    let mut schedule = Schedule::new();
-    let mut unschedulable = Vec::new();
-
-    'links: for link in ordered {
-        // A link that cannot stand alone can never be placed.
-        let alone: LinkSet = std::iter::once(link).collect();
-        if !feasibility::is_feasible(params, instance, &alone, power) {
-            unschedulable.push(link);
-            continue;
-        }
-        let pw = power
-            .power_of(link, instance, params)
-            .expect("alone-feasible link has a power entry");
-        let start = min_slot(link);
-        let mut s = start;
-        loop {
-            while slots.len() <= s {
-                slots.push(SlotAuditor::new(params, instance));
-            }
-            if slots[s].try_push(link, pw) {
-                schedule.assign(link, s);
-                continue 'links;
-            }
-            s += 1;
-        }
-    }
-
-    (schedule, unschedulable)
+    packing::first_fit(params, instance, &ordered, power, min_slot)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sinr_geom::gen;
+    use sinr_phy::feasibility;
 
     fn params() -> SinrParams {
         SinrParams::default()

@@ -145,12 +145,9 @@ impl<'a> DistSlot<'a> {
                 ),
             )
         });
-        if fwd.try_push(link, pw_fwd) {
-            if dual.try_push(link.dual(), pw_dual) {
-                self.residents.push((link, pw_fwd, pw_dual));
-                return true;
-            }
-            fwd.pop();
+        if feasibility::try_push_bidirectional(fwd, dual, link, (pw_fwd, pw_dual)) {
+            self.residents.push((link, pw_fwd, pw_dual));
+            return true;
         }
         false
     }

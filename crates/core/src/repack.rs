@@ -494,13 +494,7 @@ impl<'a> SlotState<'a> {
             }
         }
         let (fwd, dual) = self.auditors.as_mut().expect("auditors seeded above");
-        if fwd.try_push(link, pw_fwd) {
-            if dual.try_push(link.dual(), pw_dual) {
-                return true;
-            }
-            fwd.pop();
-        }
-        false
+        feasibility::try_push_bidirectional(fwd, dual, link, (pw_fwd, pw_dual))
     }
 }
 

@@ -10,13 +10,14 @@
 //! - **single transmission** — a node cannot be the sender of two links
 //!   in one slot (it has one radio).
 
-use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use sinr_geom::{Instance, NodeId};
+use sinr_geom::{Instance, NodeId, Point};
 use sinr_links::{Link, LinkSet, Schedule};
 
 use crate::affectance::AffectanceCalc;
 use crate::channel::FadeKernel;
+use crate::field::GUARD;
 use crate::{PhyError, PowerAssignment, SinrParams};
 
 /// Why a link failed within its slot.
@@ -198,64 +199,204 @@ pub fn validate_schedule(
     Ok(())
 }
 
+/// Relative bucket width of the gain table: `d²` is bucketed by its
+/// exponent and its top `TABLE_MANTISSA_BITS` mantissa bits, so one
+/// bucket spans a factor `1 + 2⁻⁴` in `d²` and `(17/16)^{α/2}` in gain
+/// (≈ 1.095 at `α = 3`).
+const TABLE_MANTISSA_BITS: u32 = 4;
+const TABLE_SHIFT: u32 = 52 - TABLE_MANTISSA_BITS;
+/// Key of the first bucket: `d² = 2⁻⁶⁴`. Anything closer is bounded
+/// above by `+∞` only, which sends it to the exact path.
+const TABLE_FIRST_KEY: u64 = (1023 - 64) << TABLE_MANTISSA_BITS;
+/// 192 binades of `d²`, up to `2¹²⁸`; anything farther is bounded by
+/// the last edge.
+const TABLE_BUCKETS: usize = 192 << TABLE_MANTISSA_BITS;
+/// How many distinct `α` tables the process keeps.
+const TABLE_CACHE: usize = 4;
+
+/// Path gains at the bucket edges of `d²`: the source of the auditor's
+/// `powf`-free term bounds. A pure function of `α`, so one table is
+/// shared by every auditor of the process under the same `α`.
+struct GainTable {
+    alpha: f64,
+    /// `edges[j]` is `path_gain` at the lower `d²` edge of bucket `j`.
+    edges: Box<[f64]>,
+}
+
+impl GainTable {
+    /// The table for `α`, built on first use and cached.
+    fn shared(alpha: f64) -> Arc<GainTable> {
+        static CACHE: Mutex<Vec<Arc<GainTable>>> = Mutex::new(Vec::new());
+        let mut cache = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(table) = cache.iter().find(|t| t.alpha.to_bits() == alpha.to_bits()) {
+            return Arc::clone(table);
+        }
+        let edges = (0..=TABLE_BUCKETS as u64)
+            .map(|j| {
+                let d2 = f64::from_bits((TABLE_FIRST_KEY + j) << TABLE_SHIFT);
+                d2.sqrt().powf(-alpha)
+            })
+            .collect();
+        let table = Arc::new(GainTable { alpha, edges });
+        if cache.len() == TABLE_CACHE {
+            cache.remove(0);
+        }
+        cache.push(Arc::clone(&table));
+        table
+    }
+
+    /// `(lo, hi)` around the path gain at squared distance `d2`, up to
+    /// float rounding (which the certificates' guard absorbs).
+    #[inline]
+    fn bounds(&self, d2: f64) -> (f64, f64) {
+        match (d2.to_bits() >> TABLE_SHIFT).checked_sub(TABLE_FIRST_KEY) {
+            None => (self.edges[0], f64::INFINITY),
+            Some(j) if (j as usize) < TABLE_BUCKETS => {
+                (self.edges[j as usize + 1], self.edges[j as usize])
+            }
+            Some(_) => (0.0, self.edges[TABLE_BUCKETS]),
+        }
+    }
+}
+
+impl std::fmt::Debug for GainTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GainTable")
+            .field("alpha", &self.alpha)
+            .field("buckets", &TABLE_BUCKETS)
+            .finish()
+    }
+}
+
+/// How a [`SlotAuditor`]'s probes were decided: plain counters, always
+/// on.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AuditStats {
+    /// [`SlotAuditor::try_push`] calls.
+    pub probes: u64,
+    /// Probes accepted without evaluating one exact interference term.
+    pub certified_passes: u64,
+    /// Probes rejected by a certificate, before any exact term.
+    pub certified_rejects: u64,
+    /// Exact interference terms evaluated, on any path: the cost of the
+    /// fallback.
+    pub exact_terms: u64,
+}
+
+/// Per-link state of a slot resident.
+#[derive(Clone, Copy, Debug)]
+struct Resident {
+    /// Sender and receiver positions.
+    tx: Point,
+    rx: Point,
+    power: f64,
+    /// Received signal `P·gain(len)`.
+    signal: f64,
+    /// Noise floor of the link.
+    floor: f64,
+    /// Total interference at or below `pass_cap` certifies the SINR
+    /// test; above `fail_cap` it certifies its failure.
+    pass_cap: f64,
+    fail_cap: f64,
+    /// The canonical interference sum over residents `0..folded`.
+    exact: f64,
+    folded: u32,
+    /// Upper bound on the terms of residents `folded..` not yet folded.
+    bound: f64,
+}
+
+/// A journal entry: resident `index`'s fold state before a fold or an
+/// exact append, restored when the push it is filed under is popped.
+#[derive(Clone, Copy, Debug)]
+struct Fold {
+    index: u32,
+    folded: u32,
+    exact: f64,
+    bound: f64,
+}
+
+/// Whether `check`'s SINR comparison flags a violation at
+/// interference `i`.
+#[inline]
+fn sinr_fails(signal: f64, noise: f64, i: f64, threshold: f64) -> bool {
+    signal / (noise + i) < threshold
+}
+
 /// An incremental per-slot feasibility auditor: the engine behind the
-/// packers ([`crate::packing`], `sinr-baselines::first_fit`).
+/// packers ([`crate::packing`]) and the incremental and distributed
+/// re-packers.
 ///
-/// The naive packers re-ran [`check`] on a cloned link set for every
-/// candidate placement, rebuilding every receiver's interference sum
-/// from scratch — `O(k²)` per probe for a slot of `k` links. The
-/// auditor instead caches, per resident link, the running interference
-/// sum at its receiver; pushing a sender adds one term to each cached
-/// sum (`O(k)`), and a rejected push restores the saved prefix sums
-/// (never subtracts, so floats stay exact).
+/// [`try_push`](Self::try_push) answers "does the slot stay feasible
+/// with this link added?" with the decision [`check`] returns on the
+/// grown set, without evaluating most interference terms. It follows
+/// the certify-then-fall-back pattern of the interference field
+/// (DESIGN.md §7.4):
 ///
-/// **Determinism contract** (DESIGN.md §7): the cached sums are built
-/// by appending terms in link-insertion order, which is exactly the
-/// left-to-right order [`AffectanceCalc::sinr`] uses inside [`check`]
-/// (each link's own sender is skipped in both). Every decision
-/// [`SlotAuditor::is_feasible`] returns is therefore bit-identical to
-/// `check(..).is_feasible()` on the same link sequence — enforced by
-/// the `auditor_matches_check_to_the_bit` test below.
+/// - every resident keeps an **exact prefix** — the canonical
+///   insertion-order interference sum over the residents before
+///   `folded`, skipping its own sender as [`AffectanceCalc::sinr`] does
+///   inside [`check`] — and an **upper bound** on the terms of the
+///   residents it has not folded in;
+/// - a probe bounds every new term from a table of path gains indexed
+///   by the bits of `d²` (no `powf`), widened by the channel's fade
+///   range. A certificate that clears the threshold by a guard factor
+///   decides; only an inconclusive one folds the missing terms in
+///   exactly, in insertion order, and decides on the canonical sum;
+/// - [`pop`](Self::pop) restores folded residents from a per-push
+///   journal. Bounds only grow, and a stale upper bound is still one.
+///
+/// A probe costs `O(k)` table lookups for a slot of `k` links plus the
+/// exact terms of inconclusive certificates ([`stats`](Self::stats)).
+///
+/// **Determinism contract** (DESIGN.md §7): every decision is
+/// bit-identical to `check(..).is_feasible()` on the same link
+/// sequence — enforced by `auditor_matches_check_to_the_bit` below and
+/// the phy proptests.
 #[derive(Clone, Debug)]
 pub struct SlotAuditor<'a> {
     params: &'a SinrParams,
     instance: &'a Instance,
+    table: Arc<GainTable>,
+    /// The channel's fade range, widening every table bound.
+    fade_lo: f64,
+    fade_hi: f64,
+    /// `check`'s SINR threshold `β·(1 − 1e-12)`.
+    threshold: f64,
     links: Vec<Link>,
-    /// Per-link transmit power (resolved by the caller).
-    powers: Vec<f64>,
-    /// Per-link received signal `P·gain(len)` (precomputed at push).
-    signals: Vec<f64>,
-    /// Per-link noise floor (precomputed at push).
-    floors: Vec<f64>,
-    /// Per-link cached interference at the receiver, in canonical
-    /// summation order.
-    interference: Vec<f64>,
-    /// Multiset of resident senders, so the structural predicates
-    /// (half-duplex, duplicate sender) are `O(1)` per link instead of a
-    /// rescan of the slot.
-    sender_counts: HashMap<NodeId, u32>,
-    /// Snapshots for [`pop`](SlotAuditor::pop): the interference prefix
-    /// as it was before each push.
-    undo: Vec<Vec<f64>>,
-    /// Retired snapshot buffers, reused so the push→reject→pop cycle of
-    /// a packing probe allocates nothing after warm-up.
-    spare: Vec<Vec<f64>>,
+    residents: Vec<Resident>,
+    /// Fold states to restore on [`pop`](Self::pop); `marks[i]` is the
+    /// journal length when link `i` was pushed, so the entries past the
+    /// last mark belong to the last push.
+    journal: Vec<Fold>,
+    marks: Vec<usize>,
+    /// Whether the resident set is feasible, when known.
+    feasible: Option<bool>,
+    /// Per-probe scratch: each resident's bound on the probe's term,
+    /// and the residents that took the exact path with their exact term.
+    probe_hi: Vec<f64>,
+    deferred: Vec<(usize, f64)>,
+    stats: AuditStats,
 }
 
 impl<'a> SlotAuditor<'a> {
     /// Creates an empty auditor for one slot.
     pub fn new(params: &'a SinrParams, instance: &'a Instance) -> Self {
+        let (fade_lo, fade_hi) = params.channel().fade_bounds();
         SlotAuditor {
             params,
             instance,
+            table: GainTable::shared(params.alpha()),
+            fade_lo,
+            fade_hi,
+            threshold: params.beta() * (1.0 - 1e-12),
             links: Vec::new(),
-            powers: Vec::new(),
-            signals: Vec::new(),
-            floors: Vec::new(),
-            interference: Vec::new(),
-            sender_counts: HashMap::new(),
-            undo: Vec::new(),
-            spare: Vec::new(),
+            residents: Vec::new(),
+            journal: Vec::new(),
+            marks: Vec::new(),
+            feasible: Some(true),
+            probe_hi: Vec::new(),
+            deferred: Vec::new(),
+            stats: AuditStats::default(),
         }
     }
 
@@ -294,126 +435,317 @@ impl<'a> SlotAuditor<'a> {
         &self.links
     }
 
-    /// Adds `link` transmitting with `power` to the slot, updating all
-    /// cached sums incrementally (`O(len)`).
-    pub fn push(&mut self, link: Link, power: f64) {
-        struct Push<'s, 'a> {
-            auditor: &'s mut SlotAuditor<'a>,
-            link: Link,
-            power: f64,
-        }
-        impl FadeKernel for Push<'_, '_> {
-            type Output = ();
-            fn run(self, fade: impl Fn(NodeId, NodeId) -> f64) {
-                self.auditor.push_faded(self.link, self.power, fade);
-            }
-        }
-        let channel = self.params.channel();
-        channel.with_fade(Push {
-            auditor: self,
-            link,
-            power,
-        });
+    /// How the probes so far were decided.
+    pub fn stats(&self) -> AuditStats {
+        self.stats
     }
 
-    /// [`push`](Self::push) with the channel's fade as a static closure.
-    fn push_faded(&mut self, link: Link, power: f64, fade: impl Fn(NodeId, NodeId) -> f64) {
-        let mut snapshot = self.spare.pop().unwrap_or_default();
-        snapshot.clear();
-        snapshot.extend_from_slice(&self.interference);
-        self.undo.push(snapshot);
+    /// A resident for `link` with no interference folded in yet.
+    fn resident(&self, link: Link, power: f64) -> Resident {
         let len = link.length(self.instance);
-        let mut acc = 0.0;
-        // New sender's term lands on every resident receiver…
-        for (i, l) in self.links.iter().enumerate() {
-            if link.sender != l.sender {
-                let d = self.instance.distance(link.sender, l.receiver);
-                self.interference[i] +=
-                    power * self.params.path_gain(d) * fade(link.sender, l.receiver);
-            }
-        }
-        // …and the new link accumulates every resident sender's term,
-        // left to right, exactly as the naive sum would.
-        for (l, &p) in self.links.iter().zip(&self.powers) {
-            if l.sender != link.sender {
-                let d = self.instance.distance(l.sender, link.receiver);
-                acc += p * self.params.path_gain(d) * fade(l.sender, link.receiver);
-            }
-        }
-        self.links.push(link);
-        self.powers.push(power);
-        self.signals
-            .push(power * self.params.path_gain(len) * fade(link.sender, link.receiver));
-        self.floors.push(
-            self.params
+        let channel = self.params.channel();
+        let signal = power * self.params.path_gain(len) * channel.fade(link.sender, link.receiver);
+        let noise = self.params.noise();
+        let q = signal / self.threshold;
+        let margin = GUARD * (q + noise);
+        Resident {
+            tx: self.instance.position(link.sender),
+            rx: self.instance.position(link.receiver),
+            power,
+            signal,
+            floor: self
+                .params
                 .noise_floor_power(len, link.sender, link.receiver),
-        );
-        self.interference.push(acc);
-        *self.sender_counts.entry(link.sender).or_insert(0) += 1;
+            pass_cap: (q - noise) - margin,
+            fail_cap: (q - noise) + margin,
+            exact: 0.0,
+            folded: 0,
+            bound: 0.0,
+        }
     }
 
-    /// Removes the most recently pushed link, restoring the cached sums
-    /// to their exact pre-push bits.
+    /// Appends `link` as the newest resident.
+    fn admit(&mut self, link: Link, resident: Resident) {
+        self.links.push(link);
+        self.residents.push(resident);
+        self.marks.push(self.journal.len());
+    }
+
+    /// Adds `link` transmitting with `power` to the slot without
+    /// deciding anything: `O(len)` table lookups raise every bound.
+    pub fn push(&mut self, link: Link, power: f64) {
+        let mut new = self.resident(link, power);
+        let p_hi = power * self.fade_hi;
+        let mut own_hi = 0.0;
+        for (l, r) in self.links.iter().zip(&mut self.residents) {
+            if l.sender != link.sender {
+                r.bound += p_hi * self.table.bounds(new.tx.distance_sq(r.rx)).1;
+                own_hi += r.power * self.table.bounds(r.tx.distance_sq(new.rx)).1;
+            }
+        }
+        new.bound = own_hi * self.fade_hi;
+        self.admit(link, new);
+        // A grown infeasible set stays infeasible (interference only
+        // rises, conflicts persist); a feasible one needs a recheck.
+        if self.feasible == Some(true) {
+            self.feasible = None;
+        }
+    }
+
+    /// Removes the most recently pushed link, restoring every resident
+    /// it folded to its pre-push state.
     ///
     /// # Panics
     ///
     /// Panics if the slot is empty.
     pub fn pop(&mut self) {
-        let snapshot = self.undo.pop().expect("pop on empty SlotAuditor");
-        let link = self.links.pop().expect("undo stack matches links");
-        self.powers.pop();
-        self.signals.pop();
-        self.floors.pop();
-        let retired = std::mem::replace(&mut self.interference, snapshot);
-        self.spare.push(retired);
-        let count = self
-            .sender_counts
-            .get_mut(&link.sender)
-            .expect("popped sender is counted");
-        *count -= 1;
-        if *count == 0 {
-            self.sender_counts.remove(&link.sender);
+        let mark = self.marks.pop().expect("pop on empty SlotAuditor");
+        for f in self.journal.drain(mark..).rev() {
+            let r = &mut self.residents[f.index as usize];
+            r.exact = f.exact;
+            r.folded = f.folded;
+            r.bound = f.bound;
+        }
+        self.links.pop();
+        self.residents.pop();
+        // A subset of a feasible set is feasible; anything else is
+        // unknown until the next recheck.
+        if self.feasible == Some(false) {
+            self.feasible = None;
         }
     }
 
     /// Whether the resident set is feasible — bit-identical to
     /// `check(params, instance, &set, power).is_feasible()` for the
-    /// same links in the same order under the same powers.
-    pub fn is_feasible(&self) -> bool {
-        // Structural rules first, as `check` does: half-duplex,
-        // duplicate senders, noise floor — `O(1)` per link via the
-        // maintained sender multiset, keeping the whole probe `O(k)`.
-        for (i, l) in self.links.iter().enumerate() {
-            if self.sender_counts.get(&l.receiver).copied().unwrap_or(0) > 0 {
-                return false;
-            }
-            if self.sender_counts.get(&l.sender).copied().unwrap_or(0) > 1 {
-                return false;
-            }
-            if self.powers[i] <= self.floors[i] {
-                return false;
+    /// same links in the same order under the same powers. Cached:
+    /// only a set grown by [`push`](Self::push) or shrunk from an
+    /// infeasible state is rechecked.
+    pub fn is_feasible(&mut self) -> bool {
+        struct Recheck<'s, 'a>(&'s mut SlotAuditor<'a>);
+        impl FadeKernel for Recheck<'_, '_> {
+            type Output = bool;
+            fn run(self, fade: impl Fn(NodeId, NodeId) -> f64) -> bool {
+                self.0.recheck(&fade)
             }
         }
-        for (i, _) in self.links.iter().enumerate() {
-            let sinr = self.signals[i] / (self.params.noise() + self.interference[i]);
-            if sinr < self.params.beta() * (1.0 - 1e-12) {
-                return false;
+        match self.feasible {
+            Some(known) => known,
+            None => self.params.channel().with_fade(Recheck(self)),
+        }
+    }
+
+    /// Probe: whether the slot stays feasible with `link` added at
+    /// `power`. On `true` the link stays resident; on `false` the
+    /// resident set is unchanged.
+    pub fn try_push(&mut self, link: Link, power: f64) -> bool {
+        struct Probe<'s, 'a> {
+            auditor: &'s mut SlotAuditor<'a>,
+            link: Link,
+            power: f64,
+        }
+        impl FadeKernel for Probe<'_, '_> {
+            type Output = bool;
+            fn run(self, fade: impl Fn(NodeId, NodeId) -> f64) -> bool {
+                self.auditor.probe(self.link, self.power, &fade)
             }
         }
+        let channel = self.params.channel();
+        channel.with_fade(Probe {
+            auditor: self,
+            link,
+            power,
+        })
+    }
+
+    /// [`try_push`](Self::try_push) with the channel's fade as a static
+    /// closure.
+    fn probe(&mut self, link: Link, power: f64, fade: &impl Fn(NodeId, NodeId) -> f64) -> bool {
+        self.stats.probes += 1;
+        if !self.recheck(fade) {
+            return false;
+        }
+        // `check`'s structural rules against the residents: half-duplex
+        // either way round, and one transmission per sender.
+        if self.links.iter().any(|l| {
+            l.sender == link.sender || l.sender == link.receiver || l.receiver == link.sender
+        }) {
+            return false;
+        }
+        let mut new = self.resident(link, power);
+        if power <= new.floor {
+            return false;
+        }
+        let terms_before = self.stats.exact_terms;
+        let noise = self.params.noise();
+        let (p_lo, p_hi) = (power * self.fade_lo, power * self.fade_hi);
+        let (mut own_lo, mut own_hi) = (0.0, 0.0);
+        self.probe_hi.clear();
+        self.deferred.clear();
+        for (j, r) in self.residents.iter().enumerate() {
+            let (g_lo, g_hi) = self.table.bounds(r.tx.distance_sq(new.rx));
+            own_lo += r.power * g_lo;
+            own_hi += r.power * g_hi;
+            let (t_lo, t_hi) = self.table.bounds(new.tx.distance_sq(r.rx));
+            let hi = p_hi * t_hi;
+            self.probe_hi.push(hi);
+            if r.exact + r.bound + hi <= r.pass_cap {
+                continue;
+            }
+            // The exact prefix is a lower bound on the canonical sum.
+            if r.exact + p_lo * t_lo > r.fail_cap {
+                self.stats.certified_rejects += 1;
+                return false;
+            }
+            self.deferred.push((j, 0.0));
+        }
+        let (own_lo, own_hi) = (own_lo * self.fade_lo, own_hi * self.fade_hi);
+        if own_lo > new.fail_cap {
+            self.stats.certified_rejects += 1;
+            return false;
+        }
+        // Inconclusive residents: fold exactly, then append the probe's
+        // term last — its canonical position.
+        for d in 0..self.deferred.len() {
+            let j = self.deferred[d].0;
+            self.fold(j, fade);
+            let r = &self.residents[j];
+            let t = power
+                * self.params.path_gain(new.tx.distance(r.rx))
+                * fade(link.sender, self.links[j].receiver);
+            self.stats.exact_terms += 1;
+            if sinr_fails(r.signal, noise, r.exact + t, self.threshold) {
+                return false;
+            }
+            self.deferred[d].1 = t;
+            self.probe_hi[j] = 0.0;
+        }
+        let k = self.links.len();
+        if own_hi <= new.pass_cap {
+            new.bound = own_hi;
+        } else {
+            let mut acc = 0.0;
+            for (l, r) in self.links.iter().zip(&self.residents) {
+                acc += r.power
+                    * self.params.path_gain(r.tx.distance(new.rx))
+                    * fade(l.sender, link.receiver);
+            }
+            self.stats.exact_terms += k as u64;
+            if sinr_fails(new.signal, noise, acc, self.threshold) {
+                return false;
+            }
+            new.exact = acc;
+            new.folded = k as u32;
+        }
+        // Accepted: commit the bounds and the exact appends.
+        if self.stats.exact_terms == terms_before {
+            self.stats.certified_passes += 1;
+        }
+        for (r, &hi) in self.residents.iter_mut().zip(&self.probe_hi) {
+            r.bound += hi;
+        }
+        self.admit(link, new);
+        for &(j, t) in &self.deferred {
+            let r = &mut self.residents[j];
+            self.journal.push(Fold {
+                index: j as u32,
+                folded: r.folded,
+                exact: r.exact,
+                bound: r.bound,
+            });
+            r.exact += t;
+            r.folded += 1;
+        }
+        self.feasible = Some(true);
         true
     }
 
-    /// Convenience probe: push, test, and pop on failure. Returns the
-    /// decision; on `true` the link stays resident.
-    pub fn try_push(&mut self, link: Link, power: f64) -> bool {
-        self.push(link, power);
-        if self.is_feasible() {
-            true
-        } else {
-            self.pop();
-            false
+    /// Folds resident `i`'s missing terms in exactly, in insertion
+    /// order, journaling its previous state under the last push.
+    fn fold(&mut self, i: usize, fade: &impl Fn(NodeId, NodeId) -> f64) {
+        let k = self.links.len();
+        let r = self.residents[i];
+        if r.folded as usize == k {
+            return;
         }
+        self.journal.push(Fold {
+            index: i as u32,
+            folded: r.folded,
+            exact: r.exact,
+            bound: r.bound,
+        });
+        let own = self.links[i];
+        let mut acc = r.exact;
+        for (l, s) in self.links[r.folded as usize..]
+            .iter()
+            .zip(&self.residents[r.folded as usize..])
+        {
+            if l.sender != own.sender {
+                acc += s.power
+                    * self.params.path_gain(s.tx.distance(r.rx))
+                    * fade(l.sender, own.receiver);
+                self.stats.exact_terms += 1;
+            }
+        }
+        let r = &mut self.residents[i];
+        r.exact = acc;
+        r.folded = k as u32;
+        r.bound = 0.0;
     }
+
+    /// Decides the resident set from scratch: `check`'s structural
+    /// rules, then each resident's certificate, folding where it is
+    /// inconclusive. Caches the answer.
+    fn recheck(&mut self, fade: &impl Fn(NodeId, NodeId) -> f64) -> bool {
+        if let Some(known) = self.feasible {
+            return known;
+        }
+        let mut senders: Vec<NodeId> = self.links.iter().map(|l| l.sender).collect();
+        senders.sort_unstable();
+        let mut feasible = !senders.windows(2).any(|w| w[0] == w[1])
+            && !self
+                .links
+                .iter()
+                .any(|l| senders.binary_search(&l.receiver).is_ok())
+            && !self.residents.iter().any(|r| r.power <= r.floor);
+        let noise = self.params.noise();
+        for i in 0..self.residents.len() {
+            if !feasible {
+                break;
+            }
+            let r = self.residents[i];
+            if r.exact + r.bound <= r.pass_cap {
+                continue;
+            }
+            if r.exact > r.fail_cap {
+                feasible = false;
+                break;
+            }
+            self.fold(i, fade);
+            let r = &self.residents[i];
+            feasible = !sinr_fails(r.signal, noise, r.exact, self.threshold);
+        }
+        self.feasible = Some(feasible);
+        feasible
+    }
+}
+
+/// Probes `link` into a slot audited in both schedule directions
+/// (Definition 1): `fwd` holds the slot's links, `dual` their duals,
+/// and the link is admitted only if both stay feasible. On `true` the
+/// link is resident in both; on `false` neither changed.
+pub fn try_push_bidirectional(
+    fwd: &mut SlotAuditor<'_>,
+    dual: &mut SlotAuditor<'_>,
+    link: Link,
+    (pw_fwd, pw_dual): (f64, f64),
+) -> bool {
+    if fwd.try_push(link, pw_fwd) {
+        if dual.try_push(link.dual(), pw_dual) {
+            return true;
+        }
+        fwd.pop();
+    }
+    false
 }
 
 /// The *measured* affectance a receiver observes for a successful
@@ -438,7 +770,7 @@ pub fn measured_affectance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sinr_geom::Point;
+    use crate::ChannelModel;
 
     fn params() -> SinrParams {
         SinrParams::default()
@@ -556,60 +888,179 @@ mod tests {
     }
 
     /// The auditor's decision equals `check(..).is_feasible()` on the
-    /// same link sequence, for random push/pop sequences over random
-    /// geometry — the packers rely on this being exact.
+    /// same link sequence, for probe and pop sequences over random
+    /// geometry under both channels — the packers rely on this being
+    /// exact. The same run must take every decision path: certified
+    /// passes, certified rejects and the exact fallback.
     #[test]
     fn auditor_matches_check_to_the_bit() {
         use sinr_geom::gen;
-        let p = params();
-        for seed in 0..6u64 {
-            let inst = gen::uniform_square(40, 1.5, seed).unwrap();
-            let power = PowerAssignment::mean_with_margin(&p, inst.delta());
-            // Candidate links: everyone's nearest-neighbor uplink.
-            let candidates: Vec<Link> = (0..inst.len())
-                .map(|u| {
-                    let v = (0..inst.len())
-                        .filter(|&v| v != u)
-                        .min_by(|&a, &b| {
-                            inst.distance(a, u)
-                                .partial_cmp(&inst.distance(b, u))
-                                .unwrap()
-                        })
-                        .unwrap();
-                    Link::new(u, v)
-                })
-                .collect();
+        let mut totals = AuditStats::default();
+        for channel in [
+            ChannelModel::Geometric,
+            ChannelModel::shadowed(0x5AD, 6.0).unwrap(),
+        ] {
+            let p = params().with_channel(channel);
+            for seed in 0..6u64 {
+                let inst = gen::uniform_square(40, 1.5, seed).unwrap();
+                let power = PowerAssignment::mean_with_margin(&p, inst.delta());
+                // Candidate links: everyone's nearest-neighbor uplink.
+                let candidates: Vec<Link> = (0..inst.len())
+                    .map(|u| {
+                        let v = (0..inst.len())
+                            .filter(|&v| v != u)
+                            .min_by(|&a, &b| {
+                                inst.distance(a, u)
+                                    .partial_cmp(&inst.distance(b, u))
+                                    .unwrap()
+                            })
+                            .unwrap();
+                        Link::new(u, v)
+                    })
+                    .collect();
 
-            let mut auditor = SlotAuditor::new(&p, &inst);
-            let mut resident: Vec<Link> = Vec::new();
-            for &link in &candidates {
-                let pw = power.power_of(link, &inst, &p).unwrap();
-                // Reference decision on the would-be set, in identical order.
-                let mut probe = resident.clone();
-                probe.push(link);
-                let set = LinkSet::from_links(probe).unwrap();
-                let naive = check(&p, &inst, &set, &power).is_feasible();
-                assert_eq!(
-                    auditor.try_push(link, pw),
-                    naive,
-                    "seed {seed}: auditor diverged from check on {link:?}"
-                );
-                if naive {
-                    resident.push(link);
+                let mut auditor = SlotAuditor::new(&p, &inst);
+                let mut resident: Vec<Link> = Vec::new();
+                for &link in &candidates {
+                    let pw = power.power_of(link, &inst, &p).unwrap();
+                    // Reference decision on the would-be set, in identical order.
+                    let mut probe = resident.clone();
+                    probe.push(link);
+                    let set = LinkSet::from_links(probe).unwrap();
+                    let naive = check(&p, &inst, &set, &power).is_feasible();
+                    assert_eq!(
+                        auditor.try_push(link, pw),
+                        naive,
+                        "{channel:?} seed {seed}: auditor diverged from check on {link:?}"
+                    );
+                    if naive {
+                        resident.push(link);
+                    }
+                }
+                assert_eq!(auditor.links(), resident.as_slice());
+                assert!(!auditor.is_empty(), "seed {seed}: nothing ever packed");
+                let stats = auditor.stats();
+                assert_eq!(stats.probes, candidates.len() as u64);
+                totals.certified_passes += stats.certified_passes;
+                totals.certified_rejects += stats.certified_rejects;
+                totals.exact_terms += stats.exact_terms;
+
+                // Pop everything; each prefix must still agree with check.
+                while !auditor.is_empty() {
+                    auditor.pop();
+                    let set = LinkSet::from_links(auditor.links().to_vec()).unwrap();
+                    assert_eq!(
+                        auditor.is_feasible(),
+                        set.is_empty() || check(&p, &inst, &set, &power).is_feasible()
+                    );
                 }
             }
-            assert_eq!(auditor.links(), resident.as_slice());
-            assert!(!auditor.is_empty(), "seed {seed}: nothing ever packed");
+        }
+        assert!(totals.certified_passes > 0, "{totals:?}");
+        assert!(totals.certified_rejects > 0, "{totals:?}");
+        assert!(totals.exact_terms > 0, "{totals:?}");
+    }
 
-            // Pop everything; each prefix must still agree with check.
-            while !auditor.is_empty() {
-                auditor.pop();
-                let set = LinkSet::from_links(auditor.links().to_vec()).unwrap();
-                assert_eq!(
-                    auditor.is_feasible(),
-                    set.is_empty() || check(&p, &inst, &set, &power).is_feasible()
-                );
-            }
+    /// Two unit links on a line plus a probe whose term at the first
+    /// receiver lands within `10⁻⁶` of the threshold: no certificate
+    /// can settle it (the guard alone is `10⁻⁷`, the gain table's
+    /// buckets ~10%), so the decision comes from the exact fold — and
+    /// the exact fold depends on a resident that is then popped. The
+    /// pop must restore the folded state, or the second probe decides
+    /// on a sum that still holds the popped term.
+    #[test]
+    fn near_threshold_probes_fold_exactly_and_pop_restores() {
+        let p = params();
+        // 0→1 (resident), 2→3 far away (its term at 1 is 1e-4), 4→5
+        // (the probe, 3 from receiver 1).
+        let inst = line_instance(&[0.0, 1.0, 101.0, 102.0, 4.0, 5.0]);
+        let (a, far, probe) = (Link::new(0, 1), Link::new(2, 3), Link::new(4, 5));
+        // SINR(a) = 100 / (1 + I) passes iff I ≤ 49 + 5e-11: the far
+        // term plus the probe's land 5e-5 above, the probe alone 5e-5
+        // below.
+        let pw_probe = 27.0 * (49.0 - 0.5e-4);
+        let mut map = std::collections::HashMap::new();
+        map.insert(a, 100.0);
+        map.insert(far, 100.0);
+        map.insert(probe, pw_probe);
+        let power = PowerAssignment::explicit(map).unwrap();
+        let check_says = |links: &[Link]| {
+            let set = LinkSet::from_links(links.to_vec()).unwrap();
+            check(&p, &inst, &set, &power).is_feasible()
+        };
+
+        let mut auditor = SlotAuditor::new(&p, &inst);
+        assert!(auditor.try_push(a, 100.0));
+        assert!(auditor.try_push(far, 100.0));
+        assert_eq!(auditor.stats().certified_passes, 2);
+        assert_eq!(auditor.stats().exact_terms, 0);
+
+        // Rejected by the exact fold of resident `a`, which now holds
+        // the far term.
+        assert!(!check_says(&[a, far, probe]));
+        assert!(!auditor.try_push(probe, pw_probe));
+        let folded = auditor.stats().exact_terms;
+        assert!(folded > 0, "{:?}", auditor.stats());
+        assert_eq!(auditor.links(), [a, far]);
+        assert!(auditor.is_feasible());
+
+        // Without the far link the same probe fits — on the exact path
+        // again, from the restored (unfolded) state of `a`.
+        auditor.pop();
+        assert!(auditor.is_feasible());
+        assert!(check_says(&[a, probe]));
+        assert!(auditor.try_push(probe, pw_probe));
+        assert!(auditor.stats().exact_terms > folded);
+        assert_eq!(auditor.links(), [a, probe]);
+
+        // And the far link no longer fits beside both.
+        assert!(!check_says(&[a, probe, far]));
+        assert!(!auditor.try_push(far, 100.0));
+        assert_eq!(auditor.stats().probes, 5);
+    }
+
+    /// An auditor seeded with an infeasible set reports it, rejects
+    /// every probe (feasibility is monotone), and recovers once the
+    /// offending resident is popped — each step equal to `check`.
+    #[test]
+    fn seeded_infeasible_set_rejects_until_popped() {
+        let p = params();
+        let xy = [
+            (0.0, 0.0),
+            (1.0, 0.0),
+            (1.5, 0.0),
+            (2.5, 0.0),
+            (50.0, 0.0),
+            (51.0, 0.0),
+            (100.0, 0.0),
+            (101.0, 0.0),
+            (0.0, 1.0),
+        ];
+        let inst = Instance::new(xy.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap();
+        let power = PowerAssignment::uniform_with_margin(&p, 1.0);
+        let pw = |l: Link| power.power_of(l, &inst, &p).unwrap();
+        let check_says = |links: &[Link]| {
+            let set = LinkSet::from_links(links.to_vec()).unwrap();
+            check(&p, &inst, &set, &power).is_feasible()
+        };
+        let kept = [Link::new(4, 5), Link::new(0, 1)];
+        let probe = Link::new(6, 7);
+        // Low SINR at both receivers, half-duplex, duplicate sender.
+        for bad in [Link::new(3, 2), Link::new(1, 0), Link::new(0, 8)] {
+            let seeded = [kept[0], kept[1], bad];
+            let mut auditor =
+                SlotAuditor::with_residents(&p, &inst, seeded.iter().map(|&l| (l, pw(l))));
+            assert!(!check_says(&seeded), "{bad:?}");
+            assert!(!auditor.is_feasible(), "{bad:?}");
+            assert!(!check_says(&[kept[0], kept[1], bad, probe]));
+            assert!(!auditor.try_push(probe, pw(probe)));
+            assert_eq!(auditor.links(), seeded);
+
+            auditor.pop();
+            assert!(check_says(&kept));
+            assert!(auditor.is_feasible());
+            assert!(check_says(&[kept[0], kept[1], probe]));
+            assert!(auditor.try_push(probe, pw(probe)));
         }
     }
 

@@ -44,7 +44,7 @@ use crate::{Result, SinrParams};
 /// `10⁻⁷` leaves three orders of magnitude of headroom while only
 /// sending decisions within `~10⁻⁷·β` of the threshold to the exact
 /// fallback.
-const GUARD: f64 = 1e-7;
+pub(crate) const GUARD: f64 = 1e-7;
 
 /// Cushion on the decode-radius derivation (see
 /// [`InterferenceField::decode_radius`]).

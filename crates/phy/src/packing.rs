@@ -15,10 +15,11 @@ use crate::{PowerAssignment, SinrParams};
 /// Packs `links` (in the given order) greedily: each link goes to the
 /// earliest slot `≥ min_slot(link)` whose occupancy stays feasible.
 ///
-/// Slot occupancy is probed through the incremental
-/// [`SlotAuditor`], whose decisions are bit-identical to re-running
-/// [`feasibility::check`] on the rebuilt set, at `O(slot)` instead of
-/// `O(slot²)` per probe.
+/// Slot occupancy is probed through the certified [`SlotAuditor`],
+/// whose decisions are bit-identical to re-running
+/// [`feasibility::check`] on the rebuilt set: a probe of a slot of `k`
+/// links costs `O(k)` table lookups plus the exact terms of the
+/// certificates it cannot settle, instead of `O(k)` exact terms.
 ///
 /// Returns the schedule and the links that cannot be scheduled even
 /// alone (below the noise floor or missing a power entry) — reported
@@ -90,10 +91,9 @@ pub fn pack_tree_ordered(
     };
 
     // Pack one link at a time so receiver floors update as we go. Each
-    // slot keeps two incremental auditors — the aggregation direction
-    // and its dual — probed in lockstep, which reproduces the old
-    // clone-and-recheck `bidirectional_feasible` decision bit for bit
-    // at `O(slot)` per probe.
+    // slot keeps two auditors — the aggregation direction and its dual
+    // — probed in lockstep, which reproduces the old clone-and-recheck
+    // `bidirectional_feasible` decision bit for bit.
     let mut slots: Vec<(SlotAuditor<'_>, SlotAuditor<'_>)> = Vec::new();
     let mut schedule = Schedule::new();
     let mut unschedulable = Vec::new();
@@ -118,13 +118,10 @@ pub fn pack_tree_ordered(
                 ));
             }
             let (fwd, dual) = &mut slots[s];
-            if fwd.try_push(link, pw_fwd) {
-                if dual.try_push(link.dual(), pw_dual) {
-                    schedule.assign(link, s);
-                    floor[link.receiver] = floor[link.receiver].max(s + 1);
-                    continue 'links;
-                }
-                fwd.pop();
+            if feasibility::try_push_bidirectional(fwd, dual, link, (pw_fwd, pw_dual)) {
+                schedule.assign(link, s);
+                floor[link.receiver] = floor[link.receiver].max(s + 1);
+                continue 'links;
             }
             s += 1;
         }

@@ -5,7 +5,7 @@ use sinr_geom::{gen, Instance, Point};
 use sinr_links::{Link, LinkSet};
 use sinr_phy::affectance::AffectanceCalc;
 use sinr_phy::feasibility::SlotAuditor;
-use sinr_phy::{feasibility, PowerAssignment, SinrParams};
+use sinr_phy::{feasibility, ChannelModel, PowerAssignment, SinrParams};
 
 fn arb_params() -> impl Strategy<Value = SinrParams> {
     (2.1f64..5.0, 1.0f64..3.0, 0.0f64..2.0)
@@ -110,22 +110,28 @@ proptest! {
         prop_assert!((m * m - u * lin).abs() <= 1e-9 * (m * m).max(u * lin));
     }
 
-    /// The incremental `SlotAuditor` under *random* push / probe / pop
+    /// The certified `SlotAuditor` under *random* push / probe / pop
     /// sequences: after **every** operation its decision must equal a
     /// from-scratch `feasibility::check` on the resident links in
     /// insertion order — the bit-exactness contract (DESIGN.md §7.4)
     /// the greedy packers rely on, here stressed through arbitrary
     /// interleavings of accepted pushes, rejected probes, and
-    /// snapshot-restoring pops rather than the packers' own access
-    /// pattern.
+    /// journal-restoring pops rather than the packers' own access
+    /// pattern, over random `(α, β, N)` under both channels.
     #[test]
     fn slot_auditor_random_ops_match_check(
+        params in arb_params(),
+        shadowed in 0u8..2,
         seed in 0u64..2_000,
         n in 8usize..40,
         tau in 0usize..3,
         ops in proptest::collection::vec((0u8..4, 0usize..1_000), 1..50),
     ) {
-        let params = SinrParams::default();
+        let params = if shadowed == 1 {
+            params.with_channel(ChannelModel::shadowed(seed, 6.0).unwrap())
+        } else {
+            params
+        };
         let inst = gen::uniform_square(n, 1.5, seed).unwrap();
         let power = match tau {
             0 => PowerAssignment::uniform_with_margin(&params, inst.delta()),
