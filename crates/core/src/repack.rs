@@ -47,8 +47,10 @@
 //! bidirectional probes with per-node slot floors — except the floors
 //! are pre-seeded from the kept links' slots and each probed slot's
 //! auditors are seeded with its surviving residents
-//! ([`SlotAuditor::with_residents`]). Before paying a slot's `O(k²)`
-//! auditor seeding, a cheap certified pre-filter built from the slot's
+//! ([`SlotAuditor::with_residents`]). Before paying a slot's auditor
+//! seeding (`O(k²)` bound lookups, then a recheck that folds the
+//! residents no certificate settles), a cheap certified pre-filter
+//! built from the slot's
 //! [`InterferenceField`] (the §7 cutoff-radius machinery — see
 //! [`InterferenceField::decode_radius`]) asks whether the probe link
 //! could decode against the residents at all; a certified "no" skips
@@ -433,11 +435,11 @@ impl<'a> SlotState<'a> {
         if self.auditors.is_none() && !residents.is_empty() {
             // Certified pre-filter (§7 cutoff machinery): if the probe
             // link itself cannot decode against the residents in either
-            // direction, the slot rejects without paying the O(k²)
-            // auditor seeding. The field only ever rules *out* — any
-            // pass still runs the full audit below — and is consulted
-            // only until the auditors exist (once they do, probes are
-            // O(k) try_push anyway), so it is never updated afterwards.
+            // direction, the slot rejects without paying the auditor
+            // seeding. The field only ever rules *out* — any pass still
+            // runs the full audit below — and is consulted only until
+            // the auditors exist (once they do, a probe is O(k) bound
+            // lookups anyway), so it is never updated afterwards.
             let (fwd_field, dual_field) = match self.fields.as_mut() {
                 Some(pair) => pair,
                 None => {

@@ -227,6 +227,8 @@ impl GainTable {
     /// The table for `α`, built on first use and cached.
     fn shared(alpha: f64) -> Arc<GainTable> {
         static CACHE: Mutex<Vec<Arc<GainTable>>> = Mutex::new(Vec::new());
+        // Every update below leaves the list valid, so a panic elsewhere
+        // while it was held cannot have left it half-written.
         let mut cache = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(table) = cache.iter().find(|t| t.alpha.to_bits() == alpha.to_bits()) {
             return Arc::clone(table);
@@ -1017,6 +1019,46 @@ mod tests {
         assert!(!check_says(&[a, probe, far]));
         assert!(!auditor.try_push(far, 100.0));
         assert_eq!(auditor.stats().probes, 5);
+    }
+
+    /// Probes within the guard `G` of the threshold with bounds that are
+    /// exact (`d² = 4` sits on a table edge, and the gain there is
+    /// `2⁻³` exactly): only the guard keeps the certificates from
+    /// deciding them, on both sides.
+    #[test]
+    fn guard_sends_threshold_grazers_to_the_exact_path() {
+        let p = params();
+        // SINR(a) = 100 / (1 + I) passes iff I ≤ 49 + 5e-11; the guard
+        // is G·(q + N) ≈ 5.1e-6 of interference.
+        let inst = line_instance(&[0.0, 1.0, 3.0, 4.0, 1001.0, 1002.0]);
+        let (a, c, d) = (Link::new(0, 1), Link::new(2, 3), Link::new(4, 5));
+        let mut map = std::collections::HashMap::new();
+        map.insert(a, 100.0);
+        map.insert(d, 100.0);
+        for (offset, fits) in [(2e-6, false), (-2e-6, true)] {
+            let pw_c = 8.0 * (49.0 + offset);
+            map.insert(c, pw_c);
+            let power = PowerAssignment::explicit(map.clone()).unwrap();
+            let check_says = |links: &[Link]| {
+                let set = LinkSet::from_links(links.to_vec()).unwrap();
+                check(&p, &inst, &set, &power).is_feasible()
+            };
+            let mut auditor = SlotAuditor::new(&p, &inst);
+            assert!(auditor.try_push(a, 100.0));
+            // `c`'s term at receiver 1 is `pw_c / 8`, 2e-6 off the
+            // threshold: inside the guard on either side.
+            assert_eq!(check_says(&[a, c]), fits);
+            assert_eq!(auditor.try_push(c, pw_c), fits, "offset {offset}");
+            if fits {
+                // `a` now holds its exact sum 2e-6 under the threshold;
+                // `d` adds 1e-7 at receiver 1 and still fits.
+                assert!(check_says(&[a, c, d]));
+                assert!(auditor.try_push(d, 100.0));
+            }
+            let stats = auditor.stats();
+            assert_eq!(stats.certified_passes, 1, "offset {offset}: {stats:?}");
+            assert_eq!(stats.certified_rejects, 0, "offset {offset}: {stats:?}");
+        }
     }
 
     /// An auditor seeded with an infeasible set reports it, rejects
