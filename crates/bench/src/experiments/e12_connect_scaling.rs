@@ -10,7 +10,7 @@
 //! 2. **mst** — the Euclidean MST (grid-pruned lazy Prim), the backbone
 //!    every centralized baseline from \[11\] schedules;
 //! 3. **pack** — the centralized MST bi-tree first-fit packing
-//!    (`SlotAuditor`-incremental);
+//!    (certified `SlotAuditor`);
 //! 4. **connect** — the distributed `Init` pipeline end to end
 //!    (schedule + simulation), once on the serial grid engine and once
 //!    on the pooled parallel engine.

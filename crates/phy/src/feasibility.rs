@@ -317,6 +317,17 @@ struct Fold {
     bound: f64,
 }
 
+impl Fold {
+    fn of(index: usize, r: &Resident) -> Fold {
+        Fold {
+            index: index as u32,
+            folded: r.folded,
+            exact: r.exact,
+            bound: r.bound,
+        }
+    }
+}
+
 /// Whether `check`'s SINR comparison flags a violation at
 /// interference `i`.
 #[inline]
@@ -523,17 +534,8 @@ impl<'a> SlotAuditor<'a> {
     /// only a set grown by [`push`](Self::push) or shrunk from an
     /// infeasible state is rechecked.
     pub fn is_feasible(&mut self) -> bool {
-        struct Recheck<'s, 'a>(&'s mut SlotAuditor<'a>);
-        impl FadeKernel for Recheck<'_, '_> {
-            type Output = bool;
-            fn run(self, fade: impl Fn(NodeId, NodeId) -> f64) -> bool {
-                self.0.recheck(&fade)
-            }
-        }
-        match self.feasible {
-            Some(known) => known,
-            None => self.params.channel().with_fade(Recheck(self)),
-        }
+        let channel = self.params.channel();
+        self.recheck(&|u, v| channel.fade(u, v))
     }
 
     /// Probe: whether the slot stays feasible with `link` added at
@@ -648,12 +650,7 @@ impl<'a> SlotAuditor<'a> {
         self.admit(link, new);
         for &(j, t) in &self.deferred {
             let r = &mut self.residents[j];
-            self.journal.push(Fold {
-                index: j as u32,
-                folded: r.folded,
-                exact: r.exact,
-                bound: r.bound,
-            });
+            self.journal.push(Fold::of(j, r));
             r.exact += t;
             r.folded += 1;
         }
@@ -669,12 +666,7 @@ impl<'a> SlotAuditor<'a> {
         if r.folded as usize == k {
             return;
         }
-        self.journal.push(Fold {
-            index: i as u32,
-            folded: r.folded,
-            exact: r.exact,
-            bound: r.bound,
-        });
+        self.journal.push(Fold::of(i, &r));
         let own = self.links[i];
         let mut acc = r.exact;
         for (l, s) in self.links[r.folded as usize..]

@@ -11,7 +11,7 @@
 //!   including the noise factor `c(u, v)`, with the exact equivalence
 //!   `a_S(ℓ) ≤ 1 ⟺ SINR ≥ β` (tested property);
 //! - [`feasibility`] — per-slot feasibility of link sets, including the
-//!   half-duplex rule, whole-schedule validation, and the incremental
+//!   half-duplex rule, whole-schedule validation, and the certified
 //!   [`feasibility::SlotAuditor`] used by the packers;
 //! - [`channel`] — the [`ChannelModel`]: the paper's geometric power
 //!   law (every fade exactly 1), plus deterministic log-normal
