@@ -50,14 +50,13 @@
 //! ([`SlotAuditor::with_residents`]). Before paying a slot's auditor
 //! seeding (`O(k²)` bound lookups, then a recheck that folds the
 //! residents no certificate settles), a cheap certified pre-filter
-//! built from the slot's
-//! [`InterferenceField`] (the §7 cutoff-radius machinery — see
-//! [`InterferenceField::decode_radius`]) asks whether the probe link
-//! could decode against the residents at all; a certified "no" skips
-//! the slot without constructing its auditors. The filter only ever
-//! *rejects* — every acceptance still runs the full bidirectional
-//! audit, so the result is per-slot feasible in both directions by the
-//! same bit-exact decisions the full packer makes.
+//! built from the slot's [`InterferenceField`] (the §7 cutoff-radius
+//! machinery — see [`InterferenceField::decode_radius`]) asks whether
+//! the probe link could decode against the residents at all; a
+//! certified "no" skips the slot without constructing its auditors.
+//! The filter only ever *rejects* — every acceptance still runs the
+//! full bidirectional audit, so the result is per-slot feasible in both
+//! directions by the same bit-exact decisions the full packer makes.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
