@@ -129,19 +129,20 @@ enum HeartbeatMsg {
 /// Per-node heartbeat state. The engine freezes this (and stops
 /// calling it) for crashed nodes, so a dead parent goes silent exactly
 /// as the fault plan dictates.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct HeartbeatNode {
     parent: Option<NodeId>,
     /// Schedule slot of the uplink `Link(self, parent)`.
     uplink_slot: usize,
     /// Uplink transmit power (phase B reports).
     uplink_power: f64,
-    /// Per schedule slot: beacon power when ≥ 1 child-link is
-    /// scheduled there (max over same-slot down-links), else `None`.
-    beacon_power: Vec<Option<f64>>,
-    /// Per schedule slot: whether a child's uplink lands there (phase
-    /// B listen duty).
-    listen_up: Vec<bool>,
+    /// Phase A duties: `(schedule slot, beacon power)`, one entry per
+    /// slot holding ≥ 1 child-link (max over same-slot down-links).
+    /// Sparse — a node's duty tables grow with its degree, not with the
+    /// schedule length.
+    beacons: Vec<(usize, f64)>,
+    /// Phase B duties: the schedule slots children's uplinks land in.
+    listens: Vec<usize>,
     /// Slots per cycle half (schedule slots).
     half: u64,
     miss_threshold: u32,
@@ -201,7 +202,7 @@ impl Protocol for HeartbeatNode {
         if within < self.half {
             // Phase A: beacons down, probe listens up.
             let s = within as usize;
-            if let Some(power) = self.beacon_power[s] {
+            if let Some(&(_, power)) = self.beacons.iter().find(|&&(b, _)| b == s) {
                 return Action::Transmit {
                     power,
                     msg: HeartbeatMsg::Beacon,
@@ -229,7 +230,7 @@ impl Protocol for HeartbeatNode {
                     msg: HeartbeatMsg::Report(self.pending.iter().copied().collect()),
                 };
             }
-            if self.listen_up[s] {
+            if self.listens.contains(&s) {
                 return Action::Listen;
             }
             Action::Sleep
@@ -324,8 +325,8 @@ pub fn detect_failures(
             parent: None,
             uplink_slot: 0,
             uplink_power: 0.0,
-            beacon_power: vec![None; half],
-            listen_up: vec![false; half],
+            beacons: Vec::new(),
+            listens: Vec::new(),
             half: half as u64,
             miss_threshold: cfg.miss_threshold,
             max_backoff_exp: cfg.max_backoff_exp,
@@ -361,17 +362,22 @@ pub fn detect_failures(
         templates[child].parent = Some(*p);
         templates[child].uplink_slot = slot;
         templates[child].uplink_power = up_power;
-        templates[*p].listen_up[slot] = true;
+        let parent = &mut templates[*p];
+        parent.listens.push(slot);
         // Same-slot siblings share one beacon transmission; the
         // strongest down-link power carries it.
-        let entry = &mut templates[*p].beacon_power[slot];
-        *entry = Some(entry.map_or(down_power, |prev: f64| prev.max(down_power)));
+        match parent.beacons.iter_mut().find(|(b, _)| *b == slot) {
+            Some((_, power)) => *power = power.max(down_power),
+            None => parent.beacons.push((slot, down_power)),
+        }
     }
 
+    // The engine takes the templates over, one per node in id order.
+    let mut templates = templates.into_iter();
     let mut engine = Engine::with_backend(
         params,
         instance,
-        |id| templates[id].clone(),
+        |_| templates.next().expect("one template per node"),
         seed,
         cfg.backend,
     );

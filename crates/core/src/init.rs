@@ -34,7 +34,8 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use sinr_geom::{Instance, NodeId};
+use sinr_geom::extremes::extreme_distances;
+use sinr_geom::{Instance, NodeId, Point};
 use sinr_links::{BiTree, InTree, Link, Schedule};
 use sinr_phy::{PowerAssignment, SinrParams};
 use sinr_sim::{Action, Engine, EngineBackend, Protocol, Reception, SlotOutcome};
@@ -199,6 +200,13 @@ impl Protocol for InitNode {
     // per-reception canonical sums.
     const MEASURES_AFFECTANCE: bool = false;
     const MEASURES_SINR: bool = false;
+
+    // An inactive node — connected, or never a participant — sleeps
+    // without a draw and ignores its outcome, and nothing reactivates
+    // it: the engine drops it from its roster for good.
+    fn dormant(&self) -> bool {
+        !self.active
+    }
 
     fn begin_slot(&mut self, _node: NodeId, slot: u64, rng: &mut StdRng) -> Action<InitMsg> {
         if !self.active {
@@ -374,9 +382,10 @@ pub fn run_init_on(
 
 /// The stopping criterion of the simulation driver: at most one node
 /// still active. Globally visible to the driver only — nodes never see
-/// it (§6's model).
-fn one_active(nodes: &[InitNode]) -> bool {
-    nodes.iter().filter(|n| n.is_active()).count() <= 1
+/// it (§6's model). Active is exactly not dormant, so this is the
+/// engine's roster length, read in `O(1)`.
+fn one_active(engine: &Engine<'_, InitNode>) -> bool {
+    engine.awake() <= 1
 }
 
 /// Everything `Init` derives from its inputs before the simulation
@@ -432,13 +441,12 @@ fn prepare_init(
     }
 
     // Length classes from the participant diameter (tighter than the
-    // full instance when the mask has shrunk).
-    let mut delta = 0.0f64;
-    for (i, &u) in participants.iter().enumerate() {
-        for &v in &participants[i + 1..] {
-            delta = delta.max(instance.distance(u, v));
-        }
-    }
+    // full instance when the mask has shrunk). The subquadratic
+    // extremes scan returns the same bits as a max over every pair's
+    // `distance`: `sqrt` is correctly rounded and monotone, so the max
+    // of the roots is the root of the max.
+    let points: Vec<Point> = participants.iter().map(|&u| instance.position(u)).collect();
+    let delta = extreme_distances(&points).map_or(0.0, |e| e.max);
     // The class of the diameter itself: the top window [2^{r-1}, 2^r)
     // must contain Δ even when Δ is an exact power of two.
     let num_classes = sinr_geom::Instance::length_class_of(delta);
@@ -757,7 +765,7 @@ pub fn run_init_with_snapshot(
     let mut engine = setup.build_engine(params, instance, &mask, cfg.backend, seed);
     engine.run_until(snapshot_at.min(setup.max_slots), one_active);
     let snapshot =
-        (engine.slot() == snapshot_at && !one_active(engine.nodes())).then(|| engine.snapshot());
+        (engine.slot() == snapshot_at && !one_active(&engine)).then(|| engine.snapshot());
     engine.run_until(setup.max_slots - engine.slot(), one_active);
     let tail_fnv = tail_fingerprint(&engine);
     let run = harvest(&engine, &setup)?;
@@ -1023,6 +1031,181 @@ mod tests {
             resume_init(&p, &other_inst, &cfg, &snap),
             Err(CoreError::Snapshot { .. })
         ));
+    }
+
+    /// `InitNode` behind a counter of the `begin_slot` calls it gets
+    /// while inactive. With `declares == false` it never reports
+    /// dormancy, so the engine steps it every slot: the every-node
+    /// reference the awake roster must reproduce bit for bit.
+    #[derive(Debug)]
+    struct Counted {
+        node: InitNode,
+        declares: bool,
+        inactive_visits: u64,
+    }
+
+    impl Protocol for Counted {
+        type Msg = InitMsg;
+        const MEASURES_AFFECTANCE: bool = InitNode::MEASURES_AFFECTANCE;
+        const MEASURES_SINR: bool = InitNode::MEASURES_SINR;
+
+        fn dormant(&self) -> bool {
+            self.declares && self.node.dormant()
+        }
+
+        fn begin_slot(&mut self, node: NodeId, slot: u64, rng: &mut StdRng) -> Action<InitMsg> {
+            if !self.node.is_active() {
+                self.inactive_visits += 1;
+            }
+            self.node.begin_slot(node, slot, rng)
+        }
+
+        fn end_slot(&mut self, node: NodeId, slot: u64, o: SlotOutcome<InitMsg>, rng: &mut StdRng) {
+            self.node.end_slot(node, slot, o, rng);
+        }
+    }
+
+    /// Snapshots see only the wrapped node, so a `Counted` engine's
+    /// snapshot is comparable with — and restorable from — a plain
+    /// `InitNode` engine's. Restored, it never declares dormancy.
+    #[cfg(feature = "serde")]
+    impl serde::Serialize for Counted {
+        fn to_value(&self) -> serde::Value {
+            self.node.to_value()
+        }
+    }
+
+    #[cfg(feature = "serde")]
+    impl serde::Deserialize for Counted {
+        fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
+            Ok(Counted {
+                node: InitNode::from_value(value)?,
+                declares: false,
+                inactive_visits: 0,
+            })
+        }
+    }
+
+    fn ready(p: &SinrParams, inst: &Instance, mask: &[bool]) -> InitSetup {
+        match prepare_init(p, inst, mask, &InitConfig::default()).unwrap() {
+            Prepared::Ready(setup) => setup,
+            Prepared::Trivial(_) => panic!("test instances need a simulation"),
+        }
+    }
+
+    fn init_engine<'a, P: Protocol>(
+        p: &'a SinrParams,
+        inst: &'a Instance,
+        setup: &InitSetup,
+        mask: &[bool],
+        backend: EngineBackend,
+        wrap: impl Fn(InitNode) -> P,
+    ) -> Engine<'a, P> {
+        let make = |id| wrap(InitNode::new(Arc::clone(&setup.shared), mask[id]));
+        Engine::with_backend(p, inst, make, 21, backend)
+    }
+
+    /// The awake roster never visits an inactive `InitNode` — neither a
+    /// non-participant nor a connected node — while the every-node
+    /// twin visits them thousands of times for the same result.
+    #[test]
+    fn dormant_init_nodes_are_never_visited() {
+        let p = params();
+        let inst = gen::uniform_square(96, 1.5, 5).unwrap();
+        let mask: Vec<bool> = (0..inst.len()).map(|id| id % 3 != 0).collect();
+        let setup = ready(&p, &inst, &mask);
+        let run = |declares| {
+            let mut e = init_engine(&p, &inst, &setup, &mask, EngineBackend::Grid, |node| {
+                Counted {
+                    node,
+                    declares,
+                    inactive_visits: 0,
+                }
+            });
+            let slots = e.run_until(setup.max_slots, |e| {
+                e.nodes().iter().filter(|c| c.node.is_active()).count() <= 1
+            });
+            let visits: u64 = e.nodes().iter().map(|c| c.inactive_visits).sum();
+            let parents: Vec<_> = e.nodes().iter().map(|c| c.node.parent()).collect();
+            (slots, parents, visits, e.awake())
+        };
+        let (slots, parents, visits, awake) = run(true);
+        let (every_slots, every_parents, every_visits, every_awake) = run(false);
+        assert_eq!(slots, every_slots);
+        assert_eq!(parents, every_parents);
+        assert_eq!(visits, 0, "a dormant node was visited");
+        assert!(
+            every_visits > 1000,
+            "the every-node twin visits inactive nodes"
+        );
+        assert_eq!(awake, 1, "only the root stays awake");
+        assert_eq!(every_awake, inst.len());
+    }
+
+    /// Dormancy parity: `InitNode` on the awake roster against the
+    /// every-node twin — identical slot reports, node states and RNG
+    /// states (compared through engine snapshots) on every backend,
+    /// and a mid-run snapshot of either restores into the other.
+    #[cfg(feature = "serde")]
+    #[test]
+    fn awake_roster_is_bit_identical_to_every_node_stepping() {
+        let p = params();
+        let inst = gen::uniform_square(160, 1.5, 4).unwrap();
+        let n = inst.len();
+        let mask = vec![true; n];
+        let setup = ready(&p, &inst, &mask);
+        let awake_twin = |node| Counted {
+            node,
+            declares: false,
+            inactive_visits: 0,
+        };
+        // Run a little past convergence so the tail covers the final
+        // prunes and the lone root's slots.
+        let mut probe = init_engine(&p, &inst, &setup, &mask, EngineBackend::Grid, |n| n);
+        let converged = probe.run_until(setup.max_slots, one_active);
+        let mid = converged / 3;
+        let rest = converged - mid + 8;
+
+        let mut reference = None;
+        for backend in [
+            EngineBackend::Naive,
+            EngineBackend::Grid,
+            EngineBackend::Parallel(2),
+            EngineBackend::Parallel(3),
+        ] {
+            let mut roster = init_engine(&p, &inst, &setup, &mask, backend, |n| n);
+            let mut every = init_engine(&p, &inst, &setup, &mask, backend, awake_twin);
+            let head = roster.run_reports(mid);
+            assert_eq!(head, every.run_reports(mid), "{backend:?}: head reports");
+            let snap = roster.snapshot();
+            assert_eq!(snap, every.snapshot(), "{backend:?}: mid-run state");
+            let awake_mid = roster.awake();
+            assert!(1 < awake_mid && awake_mid < n, "mid-run: {awake_mid} awake");
+            assert_eq!(every.awake(), n);
+            let tail = roster.run_reports(rest);
+            assert_eq!(tail, every.run_reports(rest), "{backend:?}: tail reports");
+            let end = roster.snapshot();
+            assert_eq!(end, every.snapshot(), "{backend:?}: final state");
+            assert_eq!(roster.awake(), 1);
+
+            // Restore the mid-run state into each flavor: the roster is
+            // rebuilt from the restored nodes, and both tails match.
+            let mut resumed: Engine<'_, InitNode> =
+                Engine::restore(&p, &inst, &snap, backend).unwrap();
+            assert_eq!(resumed.awake(), awake_mid, "{backend:?}: restored roster");
+            assert_eq!(resumed.run_reports(rest), tail, "{backend:?}: resumed tail");
+            assert_eq!(resumed.snapshot(), end, "{backend:?}: resumed state");
+            let mut resumed: Engine<'_, Counted> =
+                Engine::restore(&p, &inst, &snap, backend).unwrap();
+            assert_eq!(resumed.run_reports(rest), tail, "{backend:?}: resumed twin");
+            assert_eq!(resumed.snapshot(), end, "{backend:?}: resumed twin state");
+
+            let run = (head, tail, snap, end);
+            match &reference {
+                None => reference = Some(run),
+                Some(r) => assert!(*r == run, "{backend:?} differs from naive"),
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use sinr_phy::field::{
 use sinr_phy::{feasibility, SinrParams};
 
 use crate::faults::FaultPlan;
-use crate::pool::with_pool;
+use crate::pool::{with_pool, PoolHandle};
 use crate::protocol::{Action, Protocol, Reception, SlotOutcome};
 
 /// Segment timer for the per-slot profiling phases: each
@@ -48,6 +48,9 @@ impl PhaseClock {
 /// every slot drains and refills them, so steady-state slots allocate
 /// nothing on the serial path (pinned by the allocation-gate test).
 struct SlotArena<M> {
+    /// One entry per node, indexed by id. Only awake nodes write theirs
+    /// each slot; every other entry is [`Action::Sleep`], set once when
+    /// the node leaves the roster.
     actions: Vec<Action<M>>,
     transmitters: Vec<(NodeId, f64)>,
     outcomes: Vec<SlotOutcome<M>>,
@@ -99,12 +102,13 @@ pub enum EngineBackend {
     /// The pool lives inside the batch runners ([`Engine::run`],
     /// [`Engine::run_until`], [`Engine::run_reports`]) so its spawn
     /// cost amortizes over the whole run; a lone [`Engine::step`] call
-    /// stays serial. Engines below [`PARALLEL_MIN_NODES`] nodes run
-    /// serially regardless — channel round-trips would dominate.
+    /// stays serial. Slots with fewer than [`PARALLEL_MIN_NODES`] awake
+    /// nodes run serially regardless — channel round-trips would
+    /// dominate.
     Parallel(usize),
 }
 
-/// Engines with fewer nodes than this run serially even under
+/// Slots with fewer awake nodes than this run serially even under
 /// [`EngineBackend::Parallel`] — per-slot job dispatch would dominate
 /// the work.
 pub const PARALLEL_MIN_NODES: usize = 64;
@@ -183,17 +187,30 @@ pub struct EngineStats {
 /// Owns one [`Protocol`] value and one RNG stream per node; each call to
 /// [`step`](Engine::step) advances global time by one slot:
 ///
-/// 1. every node picks an [`Action`];
+/// 1. every awake node picks an [`Action`];
 /// 2. the channel is resolved: a listener decodes the transmitter with
 ///    the highest SINR at its location if that SINR reaches `β`
 ///    (unique for `β ≥ 1`, `N > 0`); transmitters hear nothing
 ///    (half-duplex);
-/// 3. every node observes its [`SlotOutcome`].
+/// 3. every awake node observes its [`SlotOutcome`].
+///
+/// "Awake" means on the engine's *roster*: the ascending ids of the
+/// nodes that have not declared [`Protocol::dormant`]. The roster is
+/// built at construction (and at `restore`) and pruned after each
+/// slot's `end_slot` calls, so a slot costs `O(awake nodes)` however
+/// large the instance. A dormant node would only have slept, and the
+/// roster keeps the canonical ascending transmitter order, so the
+/// result is bit-identical to stepping every node (DESIGN.md §12.6). A
+/// protocol that never declares dormancy keeps all `n` nodes on the
+/// roster and runs the same code.
 pub struct Engine<'a, P: Protocol> {
     params: &'a SinrParams,
     instance: &'a Instance,
     nodes: Vec<P>,
     rngs: Vec<StdRng>,
+    /// Ascending ids of the non-dormant nodes — the only nodes a slot
+    /// visits. Lent to the slot's [`SlotCtx`] while it runs.
+    roster: Vec<NodeId>,
     slot: u64,
     stats: EngineStats,
     backend: EngineBackend,
@@ -241,13 +258,14 @@ impl<'a, P: Protocol> Engine<'a, P> {
     ) -> Self {
         let n = instance.len();
         let mut seeder = StdRng::seed_from_u64(seed);
-        let nodes = (0..n).map(&mut make_node).collect();
+        let nodes: Vec<P> = (0..n).map(&mut make_node).collect();
         let rngs = (0..n)
             .map(|_| StdRng::seed_from_u64(seeder.gen()))
             .collect();
         Engine {
             params,
             instance,
+            roster: roster_of(&nodes),
             nodes,
             rngs,
             slot: 0,
@@ -322,11 +340,11 @@ impl<'a, P: Protocol> Engine<'a, P> {
         &self.nodes
     }
 
-    /// Mutable access to the per-node protocol states (for extracting
-    /// results after a run).
+    /// How many nodes are still awake — on the roster, not
+    /// [`dormant`](Protocol::dormant). A slot visits exactly these.
     #[inline]
-    pub fn nodes_mut(&mut self) -> &mut [P] {
-        &mut self.nodes
+    pub fn awake(&self) -> usize {
+        self.roster.len()
     }
 
     /// The simulated instance.
@@ -344,38 +362,23 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// where its spawn cost amortizes across slots. Outcomes are
     /// byte-identical either way: the pooled loop shards the very same
     /// per-node operation sequence ([`SlotCtx::outcome_of`]) across
-    /// threads and merges in node order (DESIGN.md §8).
+    /// threads and merges in roster order (DESIGN.md §8).
     ///
     /// # Panics
     ///
     /// Panics if a protocol transmits with a non-positive or non-finite
     /// power (a programming error in the protocol).
     pub fn step(&mut self) -> SlotReport {
-        let slot = self.slot;
-        let n = self.nodes.len();
         #[cfg(feature = "profile")]
         let mut clock = PhaseClock::start();
 
-        // Phase 1: collect actions into the recycled arena buffer.
-        let mut actions = std::mem::take(&mut self.arena.actions);
-        actions.clear();
-        actions.reserve(n);
-        self.collect_actions(slot, &mut actions);
+        // Phase 1: collect the awake nodes' actions.
+        let (actions, roster) = self.collect_actions();
         #[cfg(feature = "profile")]
         clock.lap("build");
 
         // Phase 2: resolve the channel.
-        let transmitters = std::mem::take(&mut self.arena.transmitters);
-        let buffers = self.arena.field_buffers.take().unwrap_or_default();
-        let ctx = SlotCtx::build(
-            self.params,
-            self.instance,
-            self.backend,
-            slot,
-            actions,
-            (transmitters, buffers),
-            (P::MEASURES_SINR, P::MEASURES_AFFECTANCE),
-        );
+        let ctx = self.slot_ctx(actions, roster);
         #[cfg(feature = "profile")]
         clock.lap("grid");
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -384,10 +387,11 @@ impl<'a, P: Protocol> Engine<'a, P> {
         scratch.skip_canonical_sinr(!P::MEASURES_SINR);
         let mut outcomes = std::mem::take(&mut self.arena.outcomes);
         outcomes.clear();
-        outcomes.reserve(n);
-        for id in 0..n {
-            outcomes.push(ctx.outcome_of(id, &mut scratch));
-        }
+        outcomes.extend(
+            ctx.roster
+                .iter()
+                .map(|&id| ctx.outcome_of(id, &mut scratch)),
+        );
         let stats = std::mem::take(&mut scratch.stats);
         let times = std::mem::take(&mut scratch.times);
         self.scratch = scratch;
@@ -398,68 +402,98 @@ impl<'a, P: Protocol> Engine<'a, P> {
         // Phase 3: report outcomes, then return every buffer to the
         // arena so the next slot allocates nothing.
         let report = self.finish_slot(&ctx, &mut outcomes);
-        let (actions, transmitters, buffers) = ctx.recycle();
-        self.arena.actions = actions;
-        self.arena.transmitters = transmitters;
         self.arena.outcomes = outcomes;
-        self.arena.field_buffers = Some(buffers);
+        self.recycle(ctx);
         #[cfg(feature = "profile")]
         clock.lap("merge");
         report
     }
 
-    /// Phase 1, shared by the serial and pooled loops: every live node
-    /// picks its action. With a fault plan armed, crashed nodes sleep
-    /// with their protocol state and RNG stream frozen (no
-    /// `begin_slot` call, no draw), and active power degrades scale
-    /// the chosen transmit power *before* the channel context is
-    /// built — so every backend resolves the same faulted slot.
-    fn collect_actions(&mut self, slot: u64, actions: &mut Vec<Action<P::Msg>>) {
+    /// Phase 1, shared by the serial and pooled loops: every awake node
+    /// picks its action, written into the recycled node-indexed action
+    /// vector. Returns that vector with the roster, which the slot's
+    /// context borrows until [`recycle`](Self::recycle) hands both back.
+    ///
+    /// With a fault plan armed, crashed nodes sleep with their protocol
+    /// state and RNG stream frozen (no `begin_slot` call, no draw), and
+    /// active power degrades scale the chosen transmit power *before*
+    /// the channel context is built — so every backend resolves the
+    /// same faulted slot.
+    fn collect_actions(&mut self) -> (Vec<Action<P::Msg>>, Vec<NodeId>) {
+        let slot = self.slot;
+        let n = self.nodes.len();
+        let roster = std::mem::take(&mut self.roster);
+        let mut actions = std::mem::take(&mut self.arena.actions);
+        if actions.len() != n {
+            // First slot (or a slot whose buffers were not recycled):
+            // every entry off the roster must read `Sleep`.
+            actions.clear();
+            actions.resize_with(n, || Action::Sleep);
+        }
         let Some(plan) = &self.faults else {
-            for (id, (node, rng)) in self.nodes.iter_mut().zip(self.rngs.iter_mut()).enumerate() {
-                actions.push(node.begin_slot(id, slot, rng));
+            for &id in &roster {
+                actions[id] = self.nodes[id].begin_slot(id, slot, &mut self.rngs[id]);
             }
-            return;
+            return (actions, roster);
         };
-        for (id, (node, rng)) in self.nodes.iter_mut().zip(self.rngs.iter_mut()).enumerate() {
+        #[cfg(feature = "trace")]
+        if crate::trace::is_active() {
+            emit_fault_boundaries(plan, slot);
+        }
+        for &id in &roster {
             if plan.crashed(id, slot) {
-                #[cfg(feature = "trace")]
-                if plan.crash_boundary(id, slot) && crate::trace::is_active() {
-                    crate::trace::emit(crate::trace::TraceEvent::FaultInjected {
-                        slot,
-                        node: id,
-                        kind: "crash-stop",
-                    });
-                }
-                actions.push(Action::Sleep);
+                actions[id] = Action::Sleep;
                 continue;
             }
-            #[cfg(feature = "trace")]
-            if crate::trace::is_active() {
-                if plan.deaf_boundary(id, slot) {
-                    crate::trace::emit(crate::trace::TraceEvent::FaultInjected {
-                        slot,
-                        node: id,
-                        kind: "deafness",
-                    });
-                }
-                if plan.degrade_boundary(id, slot) {
-                    crate::trace::emit(crate::trace::TraceEvent::FaultInjected {
-                        slot,
-                        node: id,
-                        kind: "power-degrade",
-                    });
-                }
-            }
-            let mut action = node.begin_slot(id, slot, rng);
+            let mut action = self.nodes[id].begin_slot(id, slot, &mut self.rngs[id]);
             if let Action::Transmit { power, .. } = &mut action {
                 let factor = plan.power_factor(id, slot);
                 if factor != 1.0 {
                     *power *= factor;
                 }
             }
-            actions.push(action);
+            actions[id] = action;
         }
+        (actions, roster)
+    }
+
+    /// Phase 2's set-up, shared by the serial and pooled loops: builds
+    /// the slot's channel context over the awake nodes' actions.
+    fn slot_ctx(
+        &mut self,
+        actions: Vec<Action<P::Msg>>,
+        roster: Vec<NodeId>,
+    ) -> SlotCtx<'a, P::Msg> {
+        let transmitters = std::mem::take(&mut self.arena.transmitters);
+        let buffers = self.arena.field_buffers.take().unwrap_or_default();
+        SlotCtx::build(
+            self.params,
+            self.instance,
+            self.backend,
+            self.slot,
+            (actions, roster),
+            (transmitters, buffers),
+            (P::MEASURES_SINR, P::MEASURES_AFFECTANCE),
+        )
+    }
+
+    /// Dismantles a finished slot's context: returns its buffers to the
+    /// arena and the roster to the engine, pruned of every node that
+    /// declared itself [`dormant`](Protocol::dormant) during this
+    /// slot's `end_slot`. A pruned node's action entry is reset to
+    /// `Sleep` here, once; no later slot touches it. Pruning retains in
+    /// place, so it allocates nothing.
+    fn recycle(&mut self, ctx: SlotCtx<'a, P::Msg>) {
+        let mut roster = ctx.recycle(&mut self.arena);
+        let (nodes, actions) = (&self.nodes, &mut self.arena.actions);
+        roster.retain(|&id| {
+            let dormant = nodes[id].dormant();
+            if dormant {
+                actions[id] = Action::Sleep;
+            }
+            !dormant
+        });
+        self.roster = roster;
     }
 
     /// Merges one slot's decode-path counters into the cumulative
@@ -483,7 +517,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
     }
 
     /// Phase 3 plus slot bookkeeping, shared by the serial and pooled
-    /// loops.
+    /// loops. `outcomes[k]` belongs to roster node `ctx.roster[k]`.
     fn finish_slot(
         &mut self,
         ctx: &SlotCtx<'a, P::Msg>,
@@ -497,7 +531,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
         // whether the *node* hears it is the plan's call).
         if let Some(plan) = &self.faults {
             if plan.any_reception_faults() {
-                for (id, outcome) in outcomes.iter_mut().enumerate() {
+                for (&id, outcome) in ctx.roster.iter().zip(outcomes.iter_mut()) {
                     if matches!(outcome, SlotOutcome::Received(_))
                         && (plan.deaf(id, slot) || plan.drops_reception(id, slot))
                     {
@@ -540,8 +574,16 @@ impl<'a, P: Protocol> Engine<'a, P> {
                     power: power.to_bits(),
                 });
             }
+            // The digest covers all `n` nodes: an id off the roster
+            // slept, exactly as it would have if stepped.
+            let slept = SlotOutcome::Slept;
+            let mut awake = ctx.roster.iter().zip(outcomes.iter()).peekable();
             let mut fnv = Fnv1a::default();
-            for (node, outcome) in outcomes.iter().enumerate() {
+            for node in 0..self.nodes.len() {
+                let outcome = match awake.next_if(|&(&id, _)| id == node) {
+                    Some((_, outcome)) => outcome,
+                    None => &slept,
+                };
                 match outcome {
                     SlotOutcome::Received(r) => {
                         crate::trace::emit(TraceEvent::Receive {
@@ -570,7 +612,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
                 outcomes_fnv: fnv.finish(),
             });
         }
-        for (id, outcome) in outcomes.drain(..).enumerate() {
+        for (&id, outcome) in ctx.roster.iter().zip(outcomes.drain(..)) {
             // Crashed nodes observe nothing: protocol state and RNG
             // stream stay frozen at their pre-crash values.
             if let Some(plan) = &self.faults {
@@ -592,9 +634,10 @@ impl<'a, P: Protocol> Engine<'a, P> {
         self.run_loop(slots, &mut |_| false, &mut |_| {});
     }
 
-    /// Runs until `done` returns true (checked after each slot) or
-    /// `max_slots` have executed; returns the number of slots executed.
-    pub fn run_until(&mut self, max_slots: u64, mut done: impl FnMut(&[P]) -> bool) -> u64 {
+    /// Runs until `done` returns true (checked after each slot, on the
+    /// whole engine — e.g. `|e| e.awake() <= 1`) or `max_slots` have
+    /// executed; returns the number of slots executed.
+    pub fn run_until(&mut self, max_slots: u64, mut done: impl FnMut(&Self) -> bool) -> u64 {
         self.run_loop(max_slots, &mut done, &mut |_| {})
     }
 
@@ -608,41 +651,45 @@ impl<'a, P: Protocol> Engine<'a, P> {
         reports
     }
 
-    /// The shared batch loop. Serial backends (and small engines) step
+    /// The shared batch loop. Serial backends (and small rosters) step
     /// one slot at a time; the parallel backend keeps a
     /// [`with_pool`](crate::pool::with_pool) worker pool alive across
-    /// the whole run, broadcasting each slot's immutable [`SlotCtx`]
-    /// to every worker and merging the outcome chunks in node order.
-    /// Protocol state and RNG streams never leave this thread, so the
-    /// observable behavior — every float bit included — is the serial
-    /// loop's. A worker panic travels back through the pool's result
-    /// channel and resumes here with its original payload (a panicking
-    /// protocol `Clone` fails the run loudly instead of deadlocking
-    /// the dispatcher).
+    /// the whole run and shards each slot with at least
+    /// [`PARALLEL_MIN_NODES`] awake nodes across it
+    /// ([`step_pooled`](Self::step_pooled)); once the roster shrinks
+    /// below that, the remaining slots step serially — same operation
+    /// sequence, same bits. A worker panic travels back through the
+    /// pool's result channel and resumes here with its original
+    /// payload (a panicking protocol `Clone` fails the run loudly
+    /// instead of deadlocking the dispatcher).
     fn run_loop(
         &mut self,
         max_slots: u64,
-        done: &mut dyn FnMut(&[P]) -> bool,
+        done: &mut dyn FnMut(&Self) -> bool,
         on_report: &mut dyn FnMut(SlotReport),
     ) -> u64 {
-        let n = self.nodes.len();
-        let threads = self.backend.worker_threads().min(n.max(1));
         let start = self.slot;
-        if threads <= 1 || n < PARALLEL_MIN_NODES {
-            while self.slot - start < max_slots {
-                let report = self.step();
+        let threads = self.backend.worker_threads().min(self.nodes.len().max(1));
+        let mut drive = |engine: &mut Self, pool: Option<&SlotPool<'a, P::Msg>>| {
+            while engine.slot - start < max_slots {
+                let report = match pool {
+                    Some(pool) if engine.roster.len() >= PARALLEL_MIN_NODES => {
+                        engine.step_pooled(pool)
+                    }
+                    _ => engine.step(),
+                };
                 on_report(report);
-                if done(&self.nodes) {
+                if done(engine) {
                     break;
                 }
             }
+        };
+        // The roster only shrinks during a run, so a small one never
+        // needs the pool.
+        if threads <= 1 || self.roster.len() < PARALLEL_MIN_NODES {
+            drive(self, None);
             return self.slot - start;
         }
-
-        let params = self.params;
-        let instance = self.instance;
-        let backend = self.backend;
-        let chunk = n.div_ceil(threads);
         // Workers time their own decode phases and return the counters
         // with each chunk; the driving thread merges and records them,
         // so a profiled parallel run reports CPU time across the pool.
@@ -659,94 +706,113 @@ impl<'a, P: Protocol> Engine<'a, P> {
                 scratch
             },
             |w, scratch, (ctx, mut out): SlotJob<'a, P::Msg>| {
-                let base = w * chunk;
-                let len = chunk.min(n.saturating_sub(base));
+                let chunk = ctx.roster.len().div_ceil(threads);
+                let lo = (w * chunk).min(ctx.roster.len());
+                let hi = (lo + chunk).min(ctx.roster.len());
                 out.clear();
-                out.reserve(len);
-                for id in base..base + len {
-                    out.push(ctx.outcome_of(id, scratch));
-                }
+                out.extend(
+                    ctx.roster[lo..hi]
+                        .iter()
+                        .map(|&id| ctx.outcome_of(id, scratch)),
+                );
                 let stats = std::mem::take(&mut scratch.stats);
                 let times = std::mem::take(&mut scratch.times);
                 (out, stats, times)
             },
-            |pool| {
-                while self.slot - start < max_slots {
-                    #[cfg(feature = "profile")]
-                    let mut clock = PhaseClock::start();
-                    let slot = self.slot;
-                    let mut actions = std::mem::take(&mut self.arena.actions);
-                    actions.clear();
-                    actions.reserve(n);
-                    self.collect_actions(slot, &mut actions);
-                    #[cfg(feature = "profile")]
-                    clock.lap("build");
-                    let transmitters = std::mem::take(&mut self.arena.transmitters);
-                    let buffers = self.arena.field_buffers.take().unwrap_or_default();
-                    let ctx = Arc::new(SlotCtx::build(
-                        params,
-                        instance,
-                        backend,
-                        slot,
-                        actions,
-                        (transmitters, buffers),
-                        (P::MEASURES_SINR, P::MEASURES_AFFECTANCE),
-                    ));
-                    #[cfg(feature = "profile")]
-                    clock.lap("grid");
-                    let mut worker_outs = std::mem::take(&mut self.arena.worker_outs);
-                    worker_outs.resize_with(threads, Vec::new);
-                    for (w, out) in worker_outs.drain(..).enumerate() {
-                        pool.send(w, (Arc::clone(&ctx), out));
-                    }
-                    let mut chunks = std::mem::take(&mut self.arena.chunks);
-                    chunks.clear();
-                    chunks.resize_with(threads, || None);
-                    let mut slot_stats = QueryStats::default();
-                    let mut slot_times = PhaseTimes::default();
-                    for _ in 0..threads {
-                        let (w, (out, stats, times)) = pool.recv();
-                        slot_stats.merge(&stats);
-                        slot_times.merge(&times);
-                        chunks[w] = Some(out);
-                    }
-                    let mut outcomes = std::mem::take(&mut self.arena.outcomes);
-                    outcomes.clear();
-                    outcomes.reserve(n);
-                    for c in chunks.iter_mut() {
-                        let mut out = c.take().expect("every worker reports each slot");
-                        // `append` drains `out` but keeps its capacity
-                        // for the next slot's job.
-                        outcomes.append(&mut out);
-                        worker_outs.push(out);
-                    }
-                    #[cfg(feature = "profile")]
-                    clock.lap("resolve");
-                    self.absorb_field_stats(slot_stats, slot_times);
-                    let report = self.finish_slot(&ctx, &mut outcomes);
-                    self.arena.outcomes = outcomes;
-                    self.arena.worker_outs = worker_outs;
-                    self.arena.chunks = chunks;
-                    // Every worker has returned its chunk, so this is
-                    // the last Arc — recover the slot buffers. If a
-                    // clone somehow lingers, skip recycling; the next
-                    // slot re-allocates and correctness is unaffected.
-                    if let Ok(ctx) = Arc::try_unwrap(ctx) {
-                        let (actions, transmitters, buffers) = ctx.recycle();
-                        self.arena.actions = actions;
-                        self.arena.transmitters = transmitters;
-                        self.arena.field_buffers = Some(buffers);
-                    }
-                    #[cfg(feature = "profile")]
-                    clock.lap("merge");
-                    on_report(report);
-                    if done(&self.nodes) {
-                        break;
-                    }
-                }
-            },
+            |pool| drive(self, Some(pool)),
         );
         self.slot - start
+    }
+
+    /// One slot of the pooled loop: broadcasts the slot's immutable
+    /// [`SlotCtx`] to every worker, each resolving one contiguous chunk
+    /// of the roster, and merges the chunks in roster order. Protocol
+    /// state and RNG streams never leave this thread, so the observable
+    /// behavior — every float bit included — is [`step`](Self::step)'s.
+    fn step_pooled(&mut self, pool: &SlotPool<'a, P::Msg>) -> SlotReport {
+        let threads = pool.threads();
+        #[cfg(feature = "profile")]
+        let mut clock = PhaseClock::start();
+        let (actions, roster) = self.collect_actions();
+        #[cfg(feature = "profile")]
+        clock.lap("build");
+        let ctx = Arc::new(self.slot_ctx(actions, roster));
+        #[cfg(feature = "profile")]
+        clock.lap("grid");
+        let mut worker_outs = std::mem::take(&mut self.arena.worker_outs);
+        worker_outs.resize_with(threads, Vec::new);
+        for (w, out) in worker_outs.drain(..).enumerate() {
+            pool.send(w, (Arc::clone(&ctx), out));
+        }
+        let mut chunks = std::mem::take(&mut self.arena.chunks);
+        chunks.clear();
+        chunks.resize_with(threads, || None);
+        let mut slot_stats = QueryStats::default();
+        let mut slot_times = PhaseTimes::default();
+        for _ in 0..threads {
+            let (w, (out, stats, times)) = pool.recv();
+            slot_stats.merge(&stats);
+            slot_times.merge(&times);
+            chunks[w] = Some(out);
+        }
+        let mut outcomes = std::mem::take(&mut self.arena.outcomes);
+        outcomes.clear();
+        for c in chunks.iter_mut() {
+            let mut out = c.take().expect("every worker reports each slot");
+            // `append` drains `out` but keeps its capacity for the next
+            // slot's job.
+            outcomes.append(&mut out);
+            worker_outs.push(out);
+        }
+        #[cfg(feature = "profile")]
+        clock.lap("resolve");
+        self.absorb_field_stats(slot_stats, slot_times);
+        let report = self.finish_slot(&ctx, &mut outcomes);
+        self.arena.outcomes = outcomes;
+        self.arena.worker_outs = worker_outs;
+        self.arena.chunks = chunks;
+        // Every worker has returned its chunk, so this is the last Arc.
+        // If a clone somehow lingered, the slot's buffers are lost —
+        // the next slot re-allocates them — but the roster is state:
+        // rebuild it from the nodes.
+        match Arc::try_unwrap(ctx) {
+            Ok(ctx) => self.recycle(ctx),
+            Err(_) => self.roster = roster_of(&self.nodes),
+        }
+        #[cfg(feature = "profile")]
+        clock.lap("merge");
+        report
+    }
+}
+
+/// The ascending ids of the nodes that have not declared
+/// [`Protocol::dormant`].
+fn roster_of<P: Protocol>(nodes: &[P]) -> Vec<NodeId> {
+    (0..nodes.len())
+        .filter(|&id| !nodes[id].dormant())
+        .collect()
+}
+
+/// Emits the slot's fault-onset events for **every** node, dormant ones
+/// included — a traced fault narrative covers all `n` nodes however few
+/// are awake. A crashed node reports only its crash.
+#[cfg(feature = "trace")]
+fn emit_fault_boundaries(plan: &FaultPlan, slot: u64) {
+    use crate::trace::{emit, TraceEvent};
+    let fault = |node, kind| TraceEvent::FaultInjected { slot, node, kind };
+    for node in 0..plan.len() {
+        if plan.crashed(node, slot) {
+            if plan.crash_boundary(node, slot) {
+                emit(fault(node, "crash-stop"));
+            }
+            continue;
+        }
+        if plan.deaf_boundary(node, slot) {
+            emit(fault(node, "deafness"));
+        }
+        if plan.degrade_boundary(node, slot) {
+            emit(fault(node, "power-degrade"));
+        }
     }
 }
 
@@ -812,6 +878,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
         Ok(Engine {
             params,
             instance,
+            roster: roster_of(&nodes),
             nodes,
             rngs,
             slot: snapshot.slot,
@@ -829,17 +896,25 @@ impl<'a, P: Protocol> Engine<'a, P> {
 /// vector the worker fills for its chunk.
 type SlotJob<'a, M> = (Arc<SlotCtx<'a, M>>, Vec<SlotOutcome<M>>);
 
+/// The pooled loop's worker pool: slot jobs in, each worker's outcome
+/// chunk and decode-path counters out.
+type SlotPool<'a, M> = PoolHandle<SlotJob<'a, M>, (Vec<SlotOutcome<M>>, QueryStats, PhaseTimes)>;
+
 /// One slot's immutable channel context: every node's action, the
-/// transmitter set in canonical (node-id) order, and — for the grid
-/// backends — the slot's [`InterferenceField`]. The pooled loop shares
-/// it read-only across workers via [`Arc`]; [`SlotCtx::outcome_of`] is
-/// the *single* per-node resolution sequence both the serial and the
-/// pooled loop execute, which is what makes their outputs
-/// byte-identical by construction.
+/// roster of awake nodes, the transmitter set in canonical (node-id)
+/// order, and — for the grid backends — the slot's
+/// [`InterferenceField`]. The pooled loop shares it read-only across
+/// workers via [`Arc`]; [`SlotCtx::outcome_of`] is the *single*
+/// per-node resolution sequence both the serial and the pooled loop
+/// execute, which is what makes their outputs byte-identical by
+/// construction.
 struct SlotCtx<'a, M> {
     params: &'a SinrParams,
     instance: &'a Instance,
+    /// Node-indexed; `Sleep` for every id off the roster.
     actions: Vec<Action<M>>,
+    /// The awake nodes, ascending: the ids this slot resolves.
+    roster: Vec<NodeId>,
     transmitters: Vec<(NodeId, f64)>,
     field: Option<InterferenceField<'a>>,
     /// The recycled field allocations when no field was built this slot
@@ -859,10 +934,12 @@ struct SlotCtx<'a, M> {
 }
 
 impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
-    /// Validates the actions and derives the slot's channel state. The
-    /// `transmitters` vector and `buffers` come from the engine's
-    /// [`SlotArena`] — their *contents* are stale garbage from the
-    /// previous slot; only their capacity matters.
+    /// Validates the awake nodes' actions and derives the slot's
+    /// channel state. The `transmitters` vector and `buffers` come from
+    /// the engine's [`SlotArena`] — their *contents* are stale garbage
+    /// from the previous slot; only their capacity matters. Walking the
+    /// ascending roster yields the transmitters in canonical node-id
+    /// order, exactly as a walk over every node would.
     ///
     /// # Panics
     ///
@@ -873,23 +950,20 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
         instance: &'a Instance,
         backend: EngineBackend,
         slot: u64,
-        actions: Vec<Action<M>>,
+        (actions, roster): (Vec<Action<M>>, Vec<NodeId>),
         (mut transmitters, buffers): (Vec<(NodeId, f64)>, FieldBuffers),
         (measure_sinr, measure_affectance): (bool, bool),
     ) -> Self {
-        for (id, a) in actions.iter().enumerate() {
-            if let Action::Transmit { power, .. } = a {
+        transmitters.clear();
+        for &id in &roster {
+            if let Action::Transmit { power, .. } = actions[id] {
                 assert!(
-                    power.is_finite() && *power > 0.0,
+                    power.is_finite() && power > 0.0,
                     "node {id} transmitted with invalid power {power} in slot {slot}"
                 );
+                transmitters.push((id, power));
             }
         }
-        transmitters.clear();
-        transmitters.extend(actions.iter().enumerate().filter_map(|(id, a)| match a {
-            Action::Transmit { power, .. } => Some((id, *power)),
-            _ => None,
-        }));
         let (field, spare) = match backend {
             EngineBackend::Naive => (None, Some(buffers)),
             _ if transmitters.is_empty() => (None, Some(buffers)),
@@ -907,6 +981,7 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
             params,
             instance,
             actions,
+            roster,
             transmitters,
             field,
             spare,
@@ -915,14 +990,17 @@ impl<'a, M: Clone + Send + Sync> SlotCtx<'a, M> {
         }
     }
 
-    /// Dismantles the context, recovering every recyclable allocation
-    /// for the next slot's [`build`](Self::build).
-    fn recycle(self) -> (Vec<Action<M>>, Vec<(NodeId, f64)>, FieldBuffers) {
-        let buffers = match self.field {
+    /// Dismantles the context: every recyclable allocation goes back
+    /// to `arena` for the next slot's [`build`](Self::build), and the
+    /// roster is returned.
+    fn recycle(self, arena: &mut SlotArena<M>) -> Vec<NodeId> {
+        arena.field_buffers = Some(match self.field {
             Some(f) => f.into_buffers(),
             None => self.spare.unwrap_or_default(),
-        };
-        (self.actions, self.transmitters, buffers)
+        });
+        arena.actions = self.actions;
+        arena.transmitters = self.transmitters;
+        self.roster
     }
 
     /// Resolves one node's outcome for this slot.
@@ -1350,7 +1428,7 @@ mod tests {
             },
             1,
         );
-        let executed = engine.run_until(100, |nodes| nodes.iter().skip(1).all(|n| n.decoded >= 3));
+        let executed = engine.run_until(100, |e| e.nodes().iter().skip(1).all(|n| n.decoded >= 3));
         assert_eq!(executed, 3);
         assert_eq!(engine.slot(), 3);
     }
@@ -1684,6 +1762,299 @@ mod tests {
         e.arm_faults(plan);
         e.run(8);
         assert_eq!(e.nodes()[1].decoded, 3, "decodes stop at the degrade onset");
+    }
+
+    /// Coin-flip talker that retires for good at the end of slot
+    /// `retire_at - 1`. Retired, it sleeps without a draw and ignores
+    /// its outcome; `declares` says whether it also tells the engine
+    /// ([`Protocol::dormant`]). The two twins must be indistinguishable
+    /// — except that only the silent one is still visited.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Dozer {
+        declares: bool,
+        retire_at: u64,
+        retired: bool,
+        log: Vec<(u64, NodeId, u64)>,
+        idles: u64,
+        /// `begin_slot` calls received after retiring.
+        visits_retired: u64,
+    }
+    impl Dozer {
+        /// Nodes `0, 5, 10, …` never retire; the rest retire at slots
+        /// spread over `2..15`, so an 80-node roster crosses
+        /// [`PARALLEL_MIN_NODES`] mid-run.
+        fn new(id: NodeId, declares: bool) -> Self {
+            Dozer {
+                declares,
+                retire_at: if id % 5 == 0 {
+                    u64::MAX
+                } else {
+                    2 + (id as u64 * 7) % 13
+                },
+                retired: false,
+                log: Vec::new(),
+                idles: 0,
+                visits_retired: 0,
+            }
+        }
+    }
+    impl Protocol for Dozer {
+        type Msg = ();
+        fn dormant(&self) -> bool {
+            self.declares && self.retired
+        }
+        fn begin_slot(&mut self, _: NodeId, _: u64, rng: &mut StdRng) -> Action<()> {
+            if self.retired {
+                self.visits_retired += 1;
+                return Action::Sleep;
+            }
+            if rng.gen_bool(0.3) {
+                Action::Transmit {
+                    power: 900.0,
+                    msg: (),
+                }
+            } else {
+                Action::Listen
+            }
+        }
+        fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<()>, _: &mut StdRng) {
+            if self.retired {
+                return;
+            }
+            match o {
+                SlotOutcome::Received(r) => self.log.push((slot, r.from, r.sinr.to_bits())),
+                SlotOutcome::Idle => self.idles += 1,
+                _ => {}
+            }
+            if slot + 1 >= self.retire_at {
+                self.retired = true;
+            }
+        }
+    }
+
+    /// What a [`Dozer`] run leaves behind, with the visit counters
+    /// split off and the `declares` flag cleared (the one thing the
+    /// twins may differ in, and the flag that tells them apart).
+    type DozerRun = (Vec<SlotReport>, EngineStats, Vec<Dozer>, Vec<u64>, usize);
+
+    fn dozer_run(
+        inst: &Instance,
+        backend: EngineBackend,
+        declares: bool,
+        plan: Option<&crate::faults::FaultPlan>,
+    ) -> DozerRun {
+        let params = SinrParams::default();
+        let mut e = Engine::with_backend(&params, inst, |id| Dozer::new(id, declares), 13, backend);
+        if let Some(plan) = plan {
+            e.arm_faults(plan.clone());
+        }
+        let reports = e.run_reports(18);
+        let mut nodes = e.nodes().to_vec();
+        let visits = nodes
+            .iter_mut()
+            .map(|n| {
+                n.declares = false;
+                std::mem::take(&mut n.visits_retired)
+            })
+            .collect();
+        (reports, e.stats(), nodes, visits, e.awake())
+    }
+
+    /// The awake roster is invisible: a protocol that declares its
+    /// retired nodes dormant gives the same reports, states and
+    /// reception bits as its silent twin that is stepped every slot —
+    /// on every backend, with and without faults — while its retired
+    /// nodes are never visited again.
+    #[test]
+    fn dormancy_is_bit_identical_to_stepping_every_node() {
+        use crate::faults::{FaultMix, FaultPlan};
+        let inst = gen::uniform_square(80, 1.5, 23).unwrap();
+        let plan = FaultPlan::random(
+            inst.len(),
+            0xD0_2E,
+            &FaultMix {
+                crash: 0.1,
+                deafness: 0.15,
+                drop: 0.15,
+                degrade: 0.1,
+                horizon: 18,
+            },
+        );
+        for plan in [None, Some(&plan)] {
+            let reference = dozer_run(&inst, EngineBackend::Naive, false, plan);
+            assert!(
+                reference.3.iter().sum::<u64>() > 0,
+                "the silent twin must still be visited after retiring"
+            );
+            assert_eq!(
+                reference.4,
+                inst.len(),
+                "a silent protocol keeps every node awake"
+            );
+            for backend in [
+                EngineBackend::Naive,
+                EngineBackend::Grid,
+                EngineBackend::Parallel(2),
+                EngineBackend::Parallel(3),
+            ] {
+                let silent = dozer_run(&inst, backend, false, plan);
+                assert_eq!(reference, silent, "{backend:?}: silent twin diverged");
+                let (reports, stats, nodes, visits, awake) = dozer_run(&inst, backend, true, plan);
+                assert_eq!(reference.0, reports, "{backend:?}: slot reports");
+                assert_eq!(reference.1, stats, "{backend:?}: stats");
+                assert_eq!(reference.2, nodes, "{backend:?}: node states");
+                assert!(
+                    visits.iter().all(|&v| v == 0),
+                    "{backend:?}: a dormant node was visited"
+                );
+                let retired = nodes.iter().filter(|n| n.retired).count();
+                assert!(
+                    retired > inst.len() - PARALLEL_MIN_NODES,
+                    "the roster must shrink below the pooled threshold"
+                );
+                assert_eq!(awake, inst.len() - retired, "{backend:?}: roster length");
+            }
+        }
+    }
+
+    /// A traced run keeps narrating the nodes that left the roster:
+    /// fault onsets on dormant nodes still emit `FaultInjected`, and
+    /// every `SlotDigest` still covers all `n` outcomes — the declaring
+    /// run's event stream equals its silent twin's, event for event.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn traced_faults_and_digests_cover_dormant_nodes() {
+        use crate::faults::{FaultEvent, FaultPlan};
+        use crate::trace::{self, TraceEvent};
+
+        let inst = gen::uniform_square(80, 1.5, 24).unwrap();
+        // Nodes 1, 2 and 3 retire at slots 9, 3 and 10; every onset
+        // below lands after its node went dormant.
+        let mut plan = FaultPlan::new(inst.len(), 5);
+        plan.push(1, FaultEvent::CrashStop { at: 12 });
+        plan.push(2, FaultEvent::TransientDeafness { from: 6, until: 9 });
+        plan.push(
+            3,
+            FaultEvent::PowerDegrade {
+                factor: 0.5,
+                from: 14,
+            },
+        );
+        plan.push(4, FaultEvent::ReceptionDrop { prob: 0.5, from: 1 });
+        let traced = |declares| {
+            trace::start(1 << 16);
+            let run = dozer_run(&inst, EngineBackend::Grid, declares, Some(&plan));
+            (run, trace::stop())
+        };
+        let (silent, silent_log) = traced(false);
+        let (dozing, log) = traced(true);
+        assert_eq!(log.dropped, 0);
+        assert_eq!(silent.0, dozing.0, "slot reports");
+        assert_eq!(silent_log.events, log.events, "event streams");
+        for (slot, node, kind) in [
+            (12, 1, "crash-stop"),
+            (6, 2, "deafness"),
+            (14, 3, "power-degrade"),
+        ] {
+            assert!(
+                dozing.2[node].retired && dozing.2[node].retire_at <= slot,
+                "node {node} is dormant at slot {slot}"
+            );
+            assert!(
+                log.events
+                    .contains(&TraceEvent::FaultInjected { slot, node, kind }),
+                "missing {kind} on dormant node {node} at slot {slot}"
+            );
+        }
+        let digests = log
+            .events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::SlotDigest { .. }))
+            .count();
+        assert_eq!(digests, 18, "one digest per slot");
+        assert!(dozing.4 < inst.len(), "nodes actually went dormant");
+    }
+
+    /// Node `id` talks in slot `s` iff `(id + s) % 4 == 0`, listens
+    /// otherwise, and declares itself dormant from slot `retire_at` on.
+    #[derive(Debug)]
+    struct Rota {
+        retire_at: u64,
+        retired: bool,
+        /// `(slot, from, sinr bits)` of every decode.
+        log: Vec<(u64, NodeId, u64)>,
+    }
+    impl Rota {
+        fn talks(id: NodeId, slot: u64) -> bool {
+            (id as u64 + slot) % 4 == 0
+        }
+    }
+    impl Protocol for Rota {
+        type Msg = ();
+        fn dormant(&self) -> bool {
+            self.retired
+        }
+        fn begin_slot(&mut self, id: NodeId, slot: u64, _: &mut StdRng) -> Action<()> {
+            if Rota::talks(id, slot) {
+                Action::Transmit {
+                    power: 900.0,
+                    msg: (),
+                }
+            } else {
+                Action::Listen
+            }
+        }
+        fn end_slot(&mut self, _: NodeId, slot: u64, o: SlotOutcome<()>, _: &mut StdRng) {
+            if let SlotOutcome::Received(r) = o {
+                self.log.push((slot, r.from, r.sinr.to_bits()));
+            }
+            self.retired = slot + 1 >= self.retire_at;
+        }
+    }
+
+    /// The roster keeps the canonical transmitter order. Every decode
+    /// of a run whose nodes retire in staggered order must equal, bit
+    /// for bit, an exact decode against the slot's awake talkers listed
+    /// in ascending id order — a reference built without the engine.
+    #[test]
+    fn dormancy_keeps_ascending_transmitter_order() {
+        let params = SinrParams::default();
+        let inst = gen::uniform_square(80, 1.5, 25).unwrap();
+        let retire_at = |id: NodeId| 3 + (id as u64 * 11) % 9;
+        let slots = 12;
+        for backend in [EngineBackend::Naive, EngineBackend::Grid] {
+            let mut e = Engine::with_backend(
+                &params,
+                &inst,
+                |id| Rota {
+                    retire_at: retire_at(id),
+                    retired: false,
+                    log: Vec::new(),
+                },
+                3,
+                backend,
+            );
+            e.run(slots);
+            let mut expected = vec![Vec::new(); inst.len()];
+            for slot in 0..slots {
+                let awake = |id: &NodeId| slot < retire_at(*id);
+                let talkers: Vec<(NodeId, f64)> = (0..inst.len())
+                    .filter(|id| awake(id) && Rota::talks(*id, slot))
+                    .map(|id| (id, 900.0))
+                    .collect();
+                for v in (0..inst.len()).filter(|v| awake(v) && !Rota::talks(*v, slot)) {
+                    if let Some((from, _, sinr)) = decode_best_exact(&params, &inst, v, &talkers) {
+                        expected[v].push((slot, from, sinr.to_bits()));
+                    }
+                }
+            }
+            let decodes: usize = expected.iter().map(Vec::len).sum();
+            assert!(decodes > 20, "the reference must decode: {decodes}");
+            assert!(e.awake() < inst.len(), "nodes must retire");
+            for (v, node) in e.nodes().iter().enumerate() {
+                assert_eq!(node.log, expected[v], "{backend:?}: node {v}");
+            }
+        }
     }
 
     #[test]

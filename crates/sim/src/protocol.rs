@@ -58,12 +58,13 @@ pub enum SlotOutcome<M> {
 
 /// A per-node state machine driven by the [`Engine`](crate::Engine).
 ///
-/// One value of the implementing type exists per node; the engine calls
-/// [`begin_slot`](Protocol::begin_slot) on every node, resolves the
-/// channel, then calls [`end_slot`](Protocol::end_slot) with each node's
-/// outcome. The `rng` argument is the node's private deterministic
-/// stream — protocols must draw randomness only from it so whole runs
-/// are reproducible from the engine seed.
+/// One value of the implementing type exists per node; each slot the
+/// engine calls [`begin_slot`](Protocol::begin_slot) on every node that
+/// has not declared itself [`dormant`](Protocol::dormant), resolves the
+/// channel, then calls [`end_slot`](Protocol::end_slot) with each of
+/// those nodes' outcomes. The `rng` argument is the node's private
+/// deterministic stream — protocols must draw randomness only from it
+/// so whole runs are reproducible from the engine seed.
 ///
 /// Payloads must be `Send + Sync` because the engine's
 /// [`Parallel`](crate::EngineBackend::Parallel) backend shares a slot's
@@ -104,6 +105,24 @@ pub trait Protocol {
     /// [`Reception::sinr`] — and its bits in the `trace` slot digest —
     /// is `f64::NAN`. Defaults to `true`.
     const MEASURES_SINR: bool = true;
+
+    /// Whether this node has dropped out of the protocol for good.
+    ///
+    /// Returning `true` is a promise about every later slot: from now
+    /// on [`begin_slot`](Protocol::begin_slot) returns
+    /// [`Action::Sleep`] without touching the RNG, and
+    /// [`end_slot`](Protocol::end_slot) is a no-op — forever. The
+    /// engine holds the protocol to the promise by no longer calling
+    /// either method: after each slot's `end_slot` it drops dormant
+    /// nodes from its awake roster, and a slot costs `O(awake nodes)`
+    /// instead of `O(n)` (DESIGN.md §12.6). Since a dormant node would
+    /// only have slept, every report, outcome, float and RNG stream is
+    /// the same as stepping it. Like [`MEASURES_SINR`](Self::MEASURES_SINR),
+    /// this is a contract of the protocol, not a setting; the default
+    /// (`false`) steps every node every slot.
+    fn dormant(&self) -> bool {
+        false
+    }
 
     /// Chooses this node's action for slot `slot`.
     fn begin_slot(&mut self, node: NodeId, slot: u64, rng: &mut StdRng) -> Action<Self::Msg>;

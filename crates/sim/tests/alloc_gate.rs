@@ -14,24 +14,40 @@
 //! allocates a few times per slot by design. Release builds compile
 //! that check out, and the release gate is the one CI's tier-1 job
 //! enforces (`cargo test --release`).
+//!
+//! The same bound holds while nodes declare themselves dormant: the
+//! engine's roster of awake nodes is pruned in place and recycled with
+//! the slot's buffers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use sinr_geom::{gen, NodeId};
 use sinr_phy::SinrParams;
 use sinr_sim::{Action, Engine, EngineBackend, Protocol, SlotOutcome};
 
-/// Counts every allocation and reallocation; frees are not counted —
-/// the gate is about acquiring memory in the steady state.
+/// Counts every allocation and reallocation on the calling thread;
+/// frees are not counted — the gate is about acquiring memory in the
+/// steady state. Per-thread, so the cases can run concurrently.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: the allocator may run while the thread is torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -40,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -71,20 +87,37 @@ impl Protocol for Rotor {
     fn end_slot(&mut self, _: NodeId, _: u64, _: SlotOutcome<()>, _: &mut StdRng) {}
 }
 
-#[test]
-fn steady_state_slots_do_not_allocate() {
-    let params = SinrParams::default();
-    let inst = gen::uniform_square(256, 1.5, 11).unwrap();
-    let mut engine = Engine::with_backend(&params, &inst, |_| Rotor, 11, EngineBackend::Grid);
+/// [`Rotor`] that retires for good at the end of slot `retire_at - 1`
+/// and declares itself dormant from then on.
+#[derive(Debug)]
+struct Retiring {
+    retire_at: u64,
+    retired: bool,
+}
 
-    // Warm-up: size every arena buffer. The rotation period is 5, so 5
-    // slots see every transmitter-set size the pattern produces.
-    engine.run(5);
+impl Protocol for Retiring {
+    type Msg = ();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let slots = 20;
+    fn dormant(&self) -> bool {
+        self.retired
+    }
+
+    fn begin_slot(&mut self, node: NodeId, slot: u64, rng: &mut StdRng) -> Action<()> {
+        Rotor.begin_slot(node, slot, rng)
+    }
+
+    fn end_slot(&mut self, _: NodeId, slot: u64, _: SlotOutcome<()>, _: &mut StdRng) {
+        self.retired = slot + 1 >= self.retire_at;
+    }
+}
+
+/// Asserts the allocation bound for `slots` slots of `engine` after
+/// warm-up: zero in release, a per-slot budget in debug (see the
+/// module docs).
+fn assert_steady<P: Protocol>(engine: &mut Engine<'_, P>, slots: u64) {
+    let before = allocs();
     engine.run(slots);
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = allocs() - before;
 
     if cfg!(debug_assertions) {
         // The duplicate-sender debug_assert builds a HashSet per field
@@ -101,4 +134,49 @@ fn steady_state_slots_do_not_allocate() {
              a per-slot buffer escaped the SlotArena"
         );
     }
+}
+
+#[test]
+fn steady_state_slots_do_not_allocate() {
+    let params = SinrParams::default();
+    let inst = gen::uniform_square(256, 1.5, 11).unwrap();
+    let mut engine = Engine::with_backend(&params, &inst, |_| Rotor, 11, EngineBackend::Grid);
+
+    // Warm-up: size every arena buffer. The rotation period is 5, so 5
+    // slots see every transmitter-set size the pattern produces.
+    engine.run(5);
+
+    assert_steady(&mut engine, 20);
+}
+
+/// Nodes leaving the roster mid-run cost no allocation either: the
+/// roster is pruned in place and travels with the slot's buffers.
+#[test]
+fn nodes_going_dormant_mid_run_do_not_allocate() {
+    let params = SinrParams::default();
+    let inst = gen::uniform_square(256, 1.5, 12).unwrap();
+    // Every node is awake through the warm-up; a quarter never retires
+    // and the rest retire one by one across the measured window.
+    let mut engine = Engine::with_backend(
+        &params,
+        &inst,
+        |id| Retiring {
+            retire_at: if id % 4 == 0 {
+                u64::MAX
+            } else {
+                6 + id as u64 % 18
+            },
+            retired: false,
+        },
+        12,
+        EngineBackend::Grid,
+    );
+    engine.run(5);
+    assert_eq!(engine.awake(), inst.len(), "no node retires during warm-up");
+    assert_steady(&mut engine, 20);
+    assert_eq!(
+        engine.awake(),
+        inst.len() / 4,
+        "three quarters went dormant"
+    );
 }
