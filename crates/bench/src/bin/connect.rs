@@ -40,16 +40,14 @@
 //! --fade` needs `--repack full` and `--churn-kill` is refused under
 //! `--fade`.
 //!
-//! Built with `--features profile`, `--profile` records the engine's
-//! per-phase breakdown of a single run (build / grid / resolve / merge
-//! wall laps, the field's decode phases, and the query counters —
-//! DESIGN.md §12) and prints it after the run.
-//!
-//! Built with `--features trace`, four observability modes appear
-//! (DESIGN.md §11):
+//! `--profile` records the engine's per-phase breakdown of a single
+//! run or of a `--serve` run (build / grid / resolve / merge wall laps,
+//! the field's decode phases, and the query counters — DESIGN.md §12)
+//! and prints it after the run. The observability layer has four more
+//! modes (DESIGN.md §11):
 //!
 //! - `--trace <path>` records the structured event log of a single run
-//!   as JSON;
+//!   or of a `--serve` run as JSON;
 //! - `--snapshot <path> --snapshot-at <slot>` captures the `Init`
 //!   engine state at a slot (strategy `init-only`) into a replayable
 //!   snapshot file;
@@ -271,10 +269,9 @@ fn parse_args() -> Result<Args, String> {
                             [--repack full|incremental|distributed] \
                             [--serve [--fault-rate <R>] [--join-rate <R>] \
                             [--serve-events <E>]] [--export <dir>] \
-                            [--profile] (needs a build with --features profile) \
-                            [--trace <path>] [--snapshot <path> --snapshot-at <slot>] \
-                            [--replay-from <path>] [--diff-engine naive|grid|parallel[:N]] \
-                            (the last four need a build with --features trace)"
+                            [--profile] [--trace <path>] \
+                            [--snapshot <path> --snapshot-at <slot>] \
+                            [--replay-from <path>] [--diff-engine naive|grid|parallel[:N]]"
                         .into(),
                 );
             }
@@ -381,65 +378,39 @@ fn main() {
     // build, detection, repair, join, audits — reads it from `params`.
     let params = SinrParams::default().with_channel(args.channel);
 
-    #[cfg(not(feature = "profile"))]
-    if args.profile {
+    let modes = [
+        args.replay_from.is_some(),
+        args.diff_engine.is_some(),
+        args.snapshot.is_some(),
+    ];
+    if modes.iter().filter(|&&m| m).count() > 1 {
+        eprintln!("--replay-from, --diff-engine and --snapshot are separate modes; pick one");
+        std::process::exit(2);
+    }
+    if modes.iter().any(|&m| m)
+        && (args.seeds > 1
+            || args.churn_kill > 0
+            || args.serve
+            || args.export.is_some()
+            || args.profile)
+    {
         eprintln!(
-            "this `connect` was built without the `profile` feature; \
-             rebuild with `--features profile` to use --profile"
+            "the observability modes run on a single instance; \
+             drop --seeds/--churn-kill/--serve/--export/--profile"
         );
         std::process::exit(2);
     }
-
-    #[cfg(not(feature = "trace"))]
-    if args.trace.is_some()
-        || args.snapshot.is_some()
-        || args.snapshot_at.is_some()
-        || args.replay_from.is_some()
-        || args.diff_engine.is_some()
-    {
-        eprintln!(
-            "this `connect` was built without the `trace` feature; \
-             rebuild with `--features trace` to use the observability flags"
-        );
-        std::process::exit(2);
+    if let Some(path) = &args.replay_from {
+        run_replay(&args, path);
+        return;
     }
-
-    #[cfg(feature = "trace")]
-    {
-        let modes = [
-            args.replay_from.is_some(),
-            args.diff_engine.is_some(),
-            args.snapshot.is_some(),
-        ];
-        if modes.iter().filter(|&&m| m).count() > 1 {
-            eprintln!("--replay-from, --diff-engine and --snapshot are separate modes; pick one");
-            std::process::exit(2);
-        }
-        if modes.iter().any(|&m| m)
-            && (args.seeds > 1
-                || args.churn_kill > 0
-                || args.serve
-                || args.export.is_some()
-                || args.profile)
-        {
-            eprintln!(
-                "the observability modes run on a single instance; \
-                 drop --seeds/--churn-kill/--serve/--export/--profile"
-            );
-            std::process::exit(2);
-        }
-        if let Some(path) = &args.replay_from {
-            run_replay(&args, path);
-            return;
-        }
-        if let Some(other) = args.diff_engine {
-            run_diff(&args, &params, other);
-            return;
-        }
-        if let (Some(path), Some(at)) = (&args.snapshot, args.snapshot_at) {
-            run_snapshot(&args, &params, path, at);
-            return;
-        }
+    if let Some(other) = args.diff_engine {
+        run_diff(&args, &params, other);
+        return;
+    }
+    if let (Some(path), Some(at)) = (&args.snapshot, args.snapshot_at) {
+        run_snapshot(&args, &params, path, at);
+        return;
     }
 
     if args.serve {
@@ -447,8 +418,8 @@ fn main() {
             eprintln!("--serve drives a single instance; drop --seeds to serve");
             std::process::exit(2);
         }
-        if args.export.is_some() || args.profile || args.trace.is_some() {
-            eprintln!("--serve is a standalone mode; drop --export/--profile/--trace");
+        if args.export.is_some() {
+            eprintln!("--serve is a standalone mode; drop --export");
             std::process::exit(2);
         }
         run_serve(&args, &params);
@@ -491,46 +462,15 @@ fn main() {
         println!("channel:  {}", args.channel.label());
     }
 
-    #[cfg(feature = "trace")]
-    if args.trace.is_some() {
-        sinr_sim::trace::start(sinr_sim::trace::DEFAULT_CAPACITY);
-    }
-    #[cfg(feature = "profile")]
-    if args.profile {
-        sinr_sim::profile::start();
-    }
-
-    let result = match connect_with(&params, &instance, args.strategy, args.seed, args.engine) {
+    let result = match observed(&args, || {
+        connect_with(&params, &instance, args.strategy, args.seed, args.engine)
+    }) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("connectivity failed: {e}");
             std::process::exit(1);
         }
     };
-
-    #[cfg(feature = "profile")]
-    if args.profile {
-        use sinr_bench::experiments::e11_scaling::{profile_table, push_profile_rows};
-        let report = sinr_sim::profile::stop();
-        let mut t = profile_table("profile: per-phase engine breakdown");
-        push_profile_rows(&mut t, args.family.label(), args.n, &report);
-        print!("{}", t.render());
-    }
-
-    #[cfg(feature = "trace")]
-    if let Some(path) = &args.trace {
-        let log = sinr_sim::trace::stop();
-        if let Err(e) = std::fs::write(path, sinr_bench::replay::trace_log_to_json(&log)) {
-            eprintln!("trace write failed: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "trace:    {} event(s) ({} dropped) -> {}",
-            log.events.len(),
-            log.dropped,
-            path.display()
-        );
-    }
 
     println!("strategy: {}", result.strategy);
     println!("links:    {}", result.tree_links.len());
@@ -576,6 +516,41 @@ fn main() {
     }
 }
 
+/// Runs `work` with the phase registry and the event recorder started
+/// as `--profile` / `--trace` ask, then prints the phase table and
+/// writes the event log. Neither layer changes what `work` computes.
+fn observed<T>(args: &Args, work: impl FnOnce() -> T) -> T {
+    use sinr_sim::{profile, trace};
+
+    if args.trace.is_some() {
+        trace::start(trace::DEFAULT_CAPACITY);
+    }
+    if args.profile {
+        profile::start();
+    }
+    let out = work();
+    if args.profile {
+        use sinr_bench::experiments::e11_scaling::{profile_table, push_profile_rows};
+        let mut t = profile_table("profile: per-phase engine breakdown");
+        push_profile_rows(&mut t, args.family.label(), args.n, &profile::stop());
+        print!("{}", t.render());
+    }
+    if let Some(path) = &args.trace {
+        let log = trace::stop();
+        if let Err(e) = std::fs::write(path, sinr_bench::replay::trace_log_to_json(&log)) {
+            eprintln!("trace write failed: {e}");
+            std::process::exit(1);
+        }
+        println!(
+            "trace:    {} event(s) ({} dropped) -> {}",
+            log.events.len(),
+            log.dropped,
+            path.display()
+        );
+    }
+    out
+}
+
 /// The `--serve` mode: run the self-healing service loop — a Poisson
 /// fault/join trace through detect → repair → re-pack with per-recovery
 /// audits (DESIGN.md §13) — and print throughput, the latency
@@ -607,7 +582,7 @@ fn run_serve(args: &Args, params: &SinrParams) {
         cfg.join_rate,
         args.seed,
     );
-    let rep = match serve(params, &instance, &cfg, args.seed) {
+    let rep = match observed(args, || serve(params, &instance, &cfg, args.seed)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("serve failed: {e}");
@@ -810,7 +785,6 @@ fn run_ensemble(args: &Args, params: &SinrParams) {
 /// (strategy `init-only`), capture the engine state at the requested
 /// slot, and write a replayable snapshot file carrying the final-state
 /// fingerprint a later `--replay-from` must reproduce.
-#[cfg(feature = "trace")]
 fn run_snapshot(args: &Args, params: &SinrParams, path: &std::path::Path, at: u64) {
     use sinr_bench::replay::SnapshotFile;
     use sinr_connectivity::init::{run_init_with_snapshot, InitConfig};
@@ -869,7 +843,6 @@ fn run_snapshot(args: &Args, params: &SinrParams, path: &std::path::Path, at: u6
 /// snapshot file's recipe, resume the captured engine state under
 /// `--engine`, and verify the resumed run's tail fingerprint
 /// bit-for-bit against the original's.
-#[cfg(feature = "trace")]
 fn run_replay(args: &Args, path: &std::path::Path) {
     use sinr_bench::replay::SnapshotFile;
     use sinr_connectivity::init::{resume_init, InitConfig};
@@ -939,7 +912,6 @@ fn run_replay(args: &Args, path: &std::path::Path) {
 /// tracing on — once under `--engine`, once under the named backend —
 /// and report the first event-stream divergence (slot, node, event
 /// kind, field, both values), or certify there is none.
-#[cfg(feature = "trace")]
 fn run_diff(args: &Args, params: &SinrParams, other: EngineBackend) {
     use sinr_sim::trace;
 

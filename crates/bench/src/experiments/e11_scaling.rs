@@ -12,8 +12,7 @@
 //! compare the grid engine against the pooled parallel engine
 //! (`Parallel(4)`, whose wall-clock gain requires the host to actually
 //! have cores — the `cores` column records what this machine offered).
-//! Under the `profile` feature the capability rungs additionally emit
-//! an E11c table: the grid run's per-phase breakdown (build / grid /
+//! The capability rungs additionally emit an E11c table: the grid run's per-phase breakdown (build / grid /
 //! resolve / merge wall laps plus the field's near-field,
 //! far-field-cert and fallback decode phases and query counters).
 //!
@@ -120,7 +119,7 @@ fn run_engine(
 
 /// Smallest n treated as a *capability* rung: a single-slot proof that
 /// the engine completes at that scale. Capability rows additionally get
-/// a per-phase breakdown when the `profile` feature is enabled.
+/// a per-phase breakdown from the phase registry.
 pub const CAPABILITY_MIN_N: usize = 65536;
 
 /// Sizes, per-size slot budgets, and whether the naive engine is timed
@@ -156,7 +155,6 @@ fn ladder(quick: bool, capability: bool) -> Vec<(usize, u64, bool)> {
 /// Phases the engine records in wall-clock seconds; everything else in
 /// a [`ProfileReport`](sinr_sim::profile::ProfileReport) is a raw
 /// per-slot counter (queries, certificates, fallbacks, rings).
-#[cfg(feature = "profile")]
 const TIME_PHASES: &[&str] = &[
     "build",
     "grid",
@@ -170,7 +168,6 @@ const TIME_PHASES: &[&str] = &[
 /// The shared shape of the phase-profile tables: E11c, E12b and the
 /// `connect --profile` CLI all emit the same columns so the breakdowns
 /// diff against each other.
-#[cfg(feature = "profile")]
 pub fn profile_table(title: &str) -> Table {
     Table::new(
         title,
@@ -184,7 +181,6 @@ pub fn profile_table(title: &str) -> Table {
 
 /// Appends one row per recorded phase of `report` to a
 /// [`profile_table`], converting time phases to milliseconds.
-#[cfg(feature = "profile")]
 pub fn push_profile_rows(
     t: &mut Table,
     scope: &str,
@@ -236,7 +232,6 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
         &["family", "crossover n", "speedup@max naive n"],
     );
 
-    #[cfg(feature = "profile")]
     let mut phases = profile_table("E11c: capability-row phase profile (grid engine)");
 
     for family in [Family::UniformSquare, Family::Clustered] {
@@ -250,12 +245,10 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             // Capability rungs run the grid engine under the profiler
             // (a handful of Instant reads per slot — noise next to a
             // multi-ms slot, and bit-parity is untouched either way).
-            #[cfg(feature = "profile")]
             if n >= CAPABILITY_MIN_N {
                 sinr_sim::profile::start();
             }
             let grid = run_engine(&params, &inst, power, slots, seed, EngineBackend::Grid);
-            #[cfg(feature = "profile")]
             if n >= CAPABILITY_MIN_N {
                 push_profile_rows(&mut phases, family.label(), n, &sinr_sim::profile::stop());
             }
@@ -329,18 +322,13 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
     }
 
     // Only a populated breakdown is emitted: the snapshot schema gate
-    // (tests/golden_json.rs) rejects empty tables, and a profile-built
-    // quick run without `--capability` never reaches a profiled rung.
-    #[cfg(feature = "profile")]
-    {
-        let mut out = vec![t, crossover];
-        if !phases.rows.is_empty() {
-            out.push(phases);
-        }
-        out
+    // (tests/golden_json.rs) rejects empty tables, and a quick run
+    // without `--capability` never reaches a profiled rung.
+    let mut out = vec![t, crossover];
+    if !phases.rows.is_empty() {
+        out.push(phases);
     }
-    #[cfg(not(feature = "profile"))]
-    vec![t, crossover]
+    out
 }
 
 #[cfg(test)]

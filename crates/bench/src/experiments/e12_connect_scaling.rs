@@ -3,7 +3,7 @@
 //! Where E11 isolates the engine's per-slot cost, E12 times the whole
 //! pipeline a user actually runs, phase by phase, on uniform instances
 //! up to n = 8192 plus end-to-end capability rungs at n = 65536 and
-//! 131072 (per-phase engine breakdowns under the `profile` feature):
+//! 131072 (with per-phase engine breakdowns, table E12b):
 //!
 //! 1. **build** — instance construction (`extreme_distances`, grid/hull
 //!    accelerated);
@@ -29,7 +29,6 @@ use sinr_baselines::mst::{centroid_root, mst_bitree};
 use sinr_connectivity::{connect_with, ConnectivityResult, Strategy};
 use sinr_phy::{PowerAssignment, SinrParams};
 
-#[cfg(feature = "profile")]
 use super::e11_scaling::{profile_table, push_profile_rows};
 use super::e11_scaling::{CAPABILITY_MIN_N, PARALLEL_THREADS};
 use crate::table::{f2, Table};
@@ -118,7 +117,6 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
         ],
     );
 
-    #[cfg(feature = "profile")]
     let mut phases =
         profile_table("E12b: capability-row phase profile (grid engine, whole connect)");
 
@@ -150,9 +148,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             // connect end to end (the profiler is thread-local, so the
             // parallel row would under-report its worker phases; the
             // grid row is the canonical breakdown).
-            #[cfg(feature = "profile")]
             let profiled = n >= CAPABILITY_MIN_N && matches!(backend, EngineBackend::Grid);
-            #[cfg(feature = "profile")]
             if profiled {
                 sinr_sim::profile::start();
             }
@@ -160,7 +156,6 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
             let result = connect_with(&params, &inst, Strategy::InitOnly, seed, backend)
                 .unwrap_or_else(|e| panic!("E12 connect n={n} {label}: {e}"));
             results.push((label, backend, t3.elapsed().as_secs_f64(), result));
-            #[cfg(feature = "profile")]
             if profiled {
                 push_profile_rows(&mut phases, "uniform", n, &sinr_sim::profile::stop());
             }
@@ -206,16 +201,11 @@ pub fn run(opts: &ExpOptions) -> Vec<Table> {
     t.expectation = format!("{} (this host: {} core(s))", t.expectation, cores);
     // As in E11: empty tables never ship (the snapshot schema gate
     // rejects them), and only capability rungs record phases.
-    #[cfg(feature = "profile")]
-    {
-        let mut out = vec![t];
-        if !phases.rows.is_empty() {
-            out.push(phases);
-        }
-        out
+    let mut out = vec![t];
+    if !phases.rows.is_empty() {
+        out.push(phases);
     }
-    #[cfg(not(feature = "profile"))]
-    vec![t]
+    out
 }
 
 #[cfg(test)]

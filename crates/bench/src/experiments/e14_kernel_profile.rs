@@ -13,14 +13,14 @@
 //!   undecided.
 //!
 //! Phase wall-clock comes from [`FieldScratch`]'s opt-in timers and
-//! the decode-outcome counters from its always-on [`QueryStats`] — no
-//! cargo feature required, so this experiment (and the committed
-//! `BENCH_PROFILE.json` it regenerates) runs on a default build. The
+//! the decode-outcome counters from its always-on [`QueryStats`], so
+//! this experiment (and the committed `BENCH_PROFILE.json` it
+//! regenerates) reads the kernels directly, not the phase registry. The
 //! counter columns (senders, certified/fallback shares, rings per
 //! query) are deterministic per seed; only the millisecond columns are
 //! measured. The same kernels are micro-benchmarked in
 //! `benches/kernels.rs`; the engine-level view of the same phases is
-//! the E11c/E12b capability breakdown under the `profile` feature.
+//! the E11c/E12b capability breakdown.
 
 use std::time::Instant;
 

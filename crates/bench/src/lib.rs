@@ -45,7 +45,6 @@
 pub mod ensemble;
 pub mod experiments;
 pub mod json;
-#[cfg(feature = "trace")]
 pub mod replay;
 pub mod serve;
 pub mod stats;

@@ -1,4 +1,4 @@
-//! Disk formats for the observability layer (feature `trace`):
+//! Disk formats for the observability layer (DESIGN.md §11):
 //! snapshot files and trace-log dumps.
 //!
 //! The bench JSON parser ([`crate::json`]) parses every number as

@@ -619,7 +619,6 @@ fn process_batch(
             &repaired.power,
         )?;
         report.audits += 1;
-        #[cfg(feature = "trace")]
         sinr_sim::trace::emit(sinr_sim::trace::TraceEvent::RecoveryComplete {
             index: (report.batches - 1) as u64,
             batch: victims.len(),

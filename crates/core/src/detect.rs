@@ -175,15 +175,12 @@ impl HeartbeatNode {
             self.declared = Some((parent, slot));
             // `end_slot` runs on the driving thread, so the emission
             // lands in the trial's own recorder.
-            #[cfg(feature = "trace")]
             sinr_sim::trace::emit(sinr_sim::trace::TraceEvent::FailureSuspected {
                 slot,
                 node,
                 suspect: parent,
                 misses: self.misses,
             });
-            #[cfg(not(feature = "trace"))]
-            let _ = node;
         }
     }
 }

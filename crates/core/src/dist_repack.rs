@@ -204,7 +204,6 @@ pub fn repack_distributed(
         let powered = power.power_of(link, instance, params).is_ok()
             && power.power_of(link.dual(), instance, params).is_ok();
         fresh[u] = delta.kept.slot_of(link).is_none() || !powered;
-        #[cfg(feature = "trace")]
         sinr_sim::trace::emit(sinr_sim::trace::TraceEvent::RepackClass {
             node: u,
             class: if fresh[u] {
@@ -316,7 +315,6 @@ pub fn repack_distributed(
             slot_of[p] = None;
             escalations += 1;
             protocol_slots += 1; // the eviction notification
-            #[cfg(feature = "trace")]
             sinr_sim::trace::emit(sinr_sim::trace::TraceEvent::RepackClass {
                 node: p,
                 class: sinr_sim::trace::RepackClass::Dirty,

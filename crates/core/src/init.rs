@@ -738,7 +738,8 @@ pub struct InitReplay {
 /// The run itself is bit-identical to [`run_init`]: the slot loop is
 /// merely split at `snapshot_at`, and the engine re-checks the stopping
 /// criterion after every slot in both halves exactly as the unsplit
-/// loop does.
+/// loop does. A run that converges by `snapshot_at` skips the second
+/// half, which would otherwise step one slot before its first check.
 ///
 /// # Errors
 ///
@@ -766,7 +767,7 @@ pub fn run_init_with_snapshot(
     engine.run_until(snapshot_at.min(setup.max_slots), one_active);
     let snapshot =
         (engine.slot() == snapshot_at && !one_active(&engine)).then(|| engine.snapshot());
-    engine.run_until(setup.max_slots - engine.slot(), one_active);
+    run_to_end(&mut engine, &setup);
     let tail_fnv = tail_fingerprint(&engine);
     let run = harvest(&engine, &setup)?;
     Ok(InitReplay {
@@ -824,10 +825,20 @@ pub fn resume_init(
             detail: "snapshot was taken under a different configuration or instance".into(),
         });
     }
-    engine.run_until(setup.max_slots - engine.slot(), one_active);
+    run_to_end(&mut engine, &setup);
     let tail_fnv = tail_fingerprint(&engine);
     let run = harvest(&engine, &setup)?;
     Ok((assemble_outcome(run)?, tail_fnv))
+}
+
+/// Finishes a split run: steps until at most one node is active or the
+/// budget is spent. `run_until` checks its predicate only after a
+/// slot, so a run that has already converged must not enter it.
+#[cfg(feature = "serde")]
+fn run_to_end(engine: &mut Engine<'_, InitNode>, setup: &InitSetup) {
+    if !one_active(engine) {
+        engine.run_until(setup.max_slots - engine.slot(), one_active);
+    }
 }
 
 #[cfg(feature = "serde")]
@@ -1001,6 +1012,38 @@ mod tests {
             assert_eq!(tail, replay.tail_fnv, "{backend:?}: tail fingerprint");
             assert_eq!(outcome.run.parents, baseline.run.parents);
             assert_eq!(outcome.run.slots_used, baseline.run.slots_used);
+        }
+    }
+
+    /// Splitting the run anywhere — at slot 0, mid-run, on the last
+    /// slot, at convergence or far past it — leaves the outcome and the
+    /// end-of-run fingerprint exactly those of the unsplit run; only a
+    /// split before convergence yields a snapshot.
+    #[cfg(feature = "serde")]
+    #[test]
+    fn snapshot_split_never_changes_the_run() {
+        let p = params();
+        let inst = gen::uniform_square(16, 1.5, 3).unwrap();
+        let cfg = InitConfig::default();
+        let plain = run_init(&p, &inst, &cfg, 0).unwrap();
+        let mask = vec![true; inst.len()];
+        let Prepared::Ready(setup) = prepare_init(&p, &inst, &mask, &cfg).unwrap() else {
+            panic!("16 nodes need a simulation");
+        };
+        let mut engine = setup.build_engine(&p, &inst, &mask, cfg.backend, 0);
+        engine.run_until(setup.max_slots, one_active);
+        let plain_tail = tail_fingerprint(&engine);
+
+        let len = plain.run.slots_used;
+        for at in [0, len / 2, len - 1, len, 100 * len] {
+            let split = run_init_with_snapshot(&p, &inst, &cfg, 0, at).unwrap();
+            let run = &split.outcome.run;
+            assert_eq!(run.parents, plain.run.parents, "split at {at}: parents");
+            assert_eq!(run.link_slots, plain.run.link_slots, "split at {at}");
+            assert_eq!(run.slots_used, len, "split at {at}: slots used");
+            assert_eq!(split.outcome.schedule, plain.schedule, "split at {at}");
+            assert_eq!(split.tail_fnv, plain_tail, "split at {at}: tail");
+            assert_eq!(split.snapshot.is_some(), at < len, "split at {at}");
         }
     }
 

@@ -121,7 +121,6 @@ pub fn join_nodes(
     // simply absent (fresh).
     let delta = ScheduleDelta::unchanged(prior.schedule);
 
-    #[cfg(feature = "trace")]
     sinr_sim::trace::emit(sinr_sim::trace::TraceEvent::Batch {
         phase: "join",
         index: 0,

@@ -262,7 +262,6 @@ pub fn repack_tree(
             && power.power_of(link.dual(), instance, params).is_ok();
         let fresh = delta.kept.slot_of(link).is_none() || !powered;
         dirty[u] = fresh || tree.children(u).iter().any(|&c| dirty[c]);
-        #[cfg(feature = "trace")]
         sinr_sim::trace::emit(sinr_sim::trace::TraceEvent::RepackClass {
             node: u,
             class: if fresh {

@@ -184,7 +184,6 @@ pub fn repair_after_failures(
         Some(Link::new(s, r))
     })?;
 
-    #[cfg(feature = "trace")]
     sinr_sim::trace::emit(sinr_sim::trace::TraceEvent::Batch {
         phase: "repair",
         index: 0,

@@ -98,7 +98,6 @@ pub(crate) fn resolve_probe_slot(
         if tx_nodes.contains(&link.receiver) {
             // Half-duplex rejection: a transmitting receiver hears
             // nothing, so the probe fails before any affectance math.
-            #[cfg(feature = "trace")]
             sinr_sim::trace::emit(sinr_sim::trace::TraceEvent::Probe {
                 sender: link.sender,
                 receiver: link.receiver,
@@ -111,7 +110,6 @@ pub(crate) fn resolve_probe_slot(
             Ok(None) => matches!(field.sum_on_exact(link, power), Ok(aff) if aff <= threshold),
             Err(_) => false,
         };
-        #[cfg(feature = "trace")]
         sinr_sim::trace::emit(sinr_sim::trace::TraceEvent::Probe {
             sender: link.sender,
             receiver: link.receiver,

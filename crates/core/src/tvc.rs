@@ -159,7 +159,6 @@ fn run_selection_loop(
             });
         }
         iter += 1;
-        #[cfg(feature = "trace")]
         sinr_sim::trace::emit(sinr_sim::trace::TraceEvent::Batch {
             phase: "tvc-iteration",
             index: u64::from(iter),

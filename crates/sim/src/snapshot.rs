@@ -13,6 +13,7 @@
 
 use serde::{Deserialize, Error, Serialize, Value};
 
+use crate::trace::Fnv1a;
 use crate::EngineStats;
 
 /// The complete mutable state of an [`Engine`](crate::Engine) at a slot
@@ -105,38 +106,6 @@ impl Deserialize for EngineSnapshot {
             )));
         }
         Ok(snapshot)
-    }
-}
-
-/// Streaming FNV-1a (64-bit), the construction behind the determinism
-/// gates' fingerprints — shared by the engine's per-slot outcome digest
-/// (feature `trace`) and the snapshot tail fingerprints.
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv1a {
-    /// Absorbs raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Absorbs one 64-bit word (little-endian bytes).
-    pub fn write_u64(&mut self, word: u64) {
-        self.write_bytes(&word.to_le_bytes());
-    }
-
-    /// The current digest.
-    pub fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -1,4 +1,4 @@
-//! Feature-gated structured event log with first-divergence reporting
+//! Structured event log with first-divergence reporting
 //! (DESIGN.md §11).
 //!
 //! The determinism gates promise byte-identical runs across backends,
@@ -11,15 +11,19 @@
 //! fixed-capacity ring buffer, and [`first_divergence`] compares two
 //! such streams field by field.
 //!
-//! # Zero cost when disabled, observational when enabled
+//! # Inert until started, observational when running
 //!
-//! The whole module (and every emission site in the engine and the
-//! connectivity crate) sits behind the `trace` cargo feature; a build
-//! without it contains no trace code at all. With the feature compiled
-//! in, emission goes through a thread-local recorder that is inert
-//! until [`start`] installs a buffer — and recording only *observes*
-//! values the run computed anyway, so fingerprints stay byte-identical
-//! either way (the `trace-gates` CI step enforces both claims).
+//! The module and every emission site in the engine and the
+//! connectivity crate are always compiled. Emission goes through a
+//! thread-local recorder that is inert until [`start`] installs a
+//! buffer: at rest, an emission site costs one thread-local
+//! [`is_active`] check or one idle [`emit`]. Measured on a 2-core
+//! x86-64 host, a check costs about 3 ns and an idle `emit` about 7 ns.
+//! The engine checks once per slot (about 15 µs of a 512-node TVC
+//! run), and that run's selectors emit about 10⁵ probes, under 1 ms of
+//! a 2 s run. Recording only *observes* values the run computed
+//! anyway, so fingerprints stay byte-identical either way (the trace
+//! gates and CI's same-binary parity step enforce this).
 //!
 //! The recorder is thread-local on purpose: every emission site runs on
 //! the thread that owns the trial (the engine's pooled backend shards
@@ -466,7 +470,38 @@ pub fn first_divergence(left: &TraceLog, right: &TraceLog) -> Option<Divergence>
     None
 }
 
-pub use crate::snapshot::Fnv1a;
+/// Streaming FNV-1a (64-bit), the construction behind the determinism
+/// gates' fingerprints — shared by the engine's per-slot outcome digest
+/// and the snapshot tail fingerprints. Defined here so the event log
+/// builds without serde.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Absorbs raw bytes.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Absorbs one 64-bit word (little-endian bytes).
+    pub fn write_u64(&mut self, word: u64) {
+        self.write_bytes(&word.to_le_bytes());
+    }
+
+    /// The current digest.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,8 +1,8 @@
-//! Acceptance gates of the observability layer (DESIGN.md §11),
-//! compiled only with `--features trace`:
+//! Acceptance gates of the observability layer (DESIGN.md §11):
 //!
-//! 1. recording is *observational* — a traced run produces the same
-//!    artifacts as an untraced one, byte for byte;
+//! 1. recording is *observational* — a run with the event recorder and
+//!    the phase registry running produces the same artifacts as a plain
+//!    one, byte for byte, on the serial and the pooled engine;
 //! 2. a deliberately perturbed run is caught by the first-divergence
 //!    reporter, which names the exact slot, node, event kind and field;
 //! 3. the engine backends produce identical event streams (the
@@ -13,7 +13,6 @@
 //!    traced serve batch records `FaultInjected`, `FailureSuspected`
 //!    and `RecoveryComplete` events whose counts tie out against the
 //!    serve report, and the stream is backend-invariant.
-#![cfg(feature = "trace")]
 
 use rand::rngs::StdRng;
 use sinr_connect_suite::connectivity::init::{
@@ -22,6 +21,7 @@ use sinr_connect_suite::connectivity::init::{
 use sinr_connect_suite::geom::gen;
 use sinr_connect_suite::geom::NodeId;
 use sinr_connect_suite::phy::SinrParams;
+use sinr_connect_suite::sim::profile;
 use sinr_connect_suite::sim::trace::{self, TraceEvent, TraceLog};
 use sinr_connect_suite::sim::{Action, Engine, EngineBackend, Protocol, SlotOutcome};
 
@@ -29,22 +29,44 @@ fn params() -> SinrParams {
     SinrParams::default()
 }
 
+/// Both observability layers at once — the event recorder and the
+/// phase registry — leave `Init` untouched on the serial and the pooled
+/// engine, while each captures something. 96 nodes keep the pooled
+/// loop above its serial cut-over for the first slots.
 #[test]
 fn tracing_is_observational() {
-    let instance = gen::uniform_square(40, 1.5, 5).unwrap();
-    let cfg = InitConfig::default();
+    let instance = gen::uniform_square(96, 1.5, 5).unwrap();
+    for backend in [EngineBackend::Grid, EngineBackend::Parallel(2)] {
+        let cfg = InitConfig {
+            backend,
+            ..Default::default()
+        };
+        let plain = run_init(&params(), &instance, &cfg, 9).unwrap();
 
-    let plain = run_init(&params(), &instance, &cfg, 9).unwrap();
+        trace::start(trace::DEFAULT_CAPACITY);
+        profile::start();
+        let traced = run_init(&params(), &instance, &cfg, 9).unwrap();
+        let report = profile::stop();
+        let log = trace::stop();
 
-    trace::start(trace::DEFAULT_CAPACITY);
-    let traced = run_init(&params(), &instance, &cfg, 9).unwrap();
-    let log = trace::stop();
-
-    assert!(!log.events.is_empty(), "a traced run must record events");
-    assert_eq!(plain.run.parents, traced.run.parents);
-    assert_eq!(plain.run.slots_used, traced.run.slots_used);
-    assert_eq!(plain.run.link_slots, traced.run.link_slots);
-    assert_eq!(plain.schedule, traced.schedule);
+        assert!(
+            !log.events.is_empty(),
+            "{backend:?}: a traced run must record events"
+        );
+        let laps = report.phase("build").map_or(0, |s| s.count);
+        assert_eq!(
+            laps, plain.run.slots_used,
+            "{backend:?}: one build lap per slot"
+        );
+        assert!(
+            report.phase("resolve").is_some(),
+            "{backend:?}: no resolve phase"
+        );
+        assert_eq!(plain.run.parents, traced.run.parents, "{backend:?}");
+        assert_eq!(plain.run.slots_used, traced.run.slots_used, "{backend:?}");
+        assert_eq!(plain.run.link_slots, traced.run.link_slots, "{backend:?}");
+        assert_eq!(plain.schedule, traced.schedule, "{backend:?}");
+    }
 }
 
 #[test]
